@@ -182,7 +182,11 @@ def _obstruction_text(report) -> str:
 
 def _run_obstruct(args) -> tuple[str, dict, int]:
     if args.pipeline == "cyclic":
-        report = cyclic_verdict(Fraction(args.c), bound=args.bound)
+        try:
+            c = Fraction(args.c)
+        except ZeroDivisionError:
+            raise ValueError(f"--c {args.c} has a zero denominator") from None
+        report = cyclic_verdict(c, bound=args.bound)
     else:
         report = diameter_verdict(args.p, args.q)
     payload = {"command": f"obstruct-{args.pipeline}"}
@@ -242,6 +246,8 @@ def _run_tet(args) -> tuple[str, dict, int]:
 def _run_decay(args) -> tuple[str, dict, int]:
     if args.to_side < args.from_side:
         raise ValueError("--to must not be below --from")
+    if not args.step > 0:
+        raise ValueError("--step must be positive")
     sides = []
     s = args.from_side
     while s <= args.to_side + 1e-9:

@@ -4,8 +4,10 @@ Volumes of geodesic tetrahedra are computed by adaptive quadrature of the
 Klein-model density (1 - |x|^2)^(-2); geodesic simplices are Euclidean
 simplices in this model, so subdivision is plain octasection.  The dilog
 side is covered by the odd pi-periodic angle function evaluated through
-its zeta-accelerated power series.  Both routes compute the maximal
-tetrahedron volume independently and are cross-checked in the tests.
+its zeta-accelerated power series, whose coefficients zeta(2k) / pi^(2k)
+are exact rationals built from the tangent numbers.  Both routes compute
+the maximal tetrahedron volume independently and are cross-checked in the
+tests.
 
 All operations are pure; nothing here mutates shared state.
 """
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 
 class HyperbolicError(ValueError):
@@ -42,15 +44,32 @@ class SamplerError(HyperbolicError):
 
 # -- angle function -------------------------------------------------------------
 
-# zeta(2), zeta(4), ...; enough terms that the series tail at pi/2 is < 1e-18.
-_ZETA_EVEN = _riemann_zeta(np.arange(2, 82, 2, dtype=float))
+
+def _zeta_even_over_pi(n: int) -> tuple[float, ...]:
+    """zeta(2k) / pi^(2k) = k T_k / ((4^k - 1) (2k)!) for k = 1..n, rounded once.
+
+    Tangent numbers T_k by the integer recurrence of Brent and Harvey (2011).
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(
+        float(Fraction(k * t[k], (4**k - 1) * math.factorial(2 * k))) for k in range(1, n + 1)
+    )
+
+
+# Enough terms that the series tail at pi/2 is < 1e-18.
+_ZETA_EVEN_OVER_PI = _zeta_even_over_pi(40)
 
 
 def lobachevsky(theta: float) -> float:
     """Odd, pi-periodic; the integrand is -log|2 sin t|.
 
     Range-reduce to [-pi/2, pi/2], then sum
-    x - x log(2x) + sum_k zeta(2k) x^(2k+1) / (k (2k+1) pi^(2k)),
+    x - x log(2x) + sum_k (zeta(2k) / pi^(2k)) x^(2k+1) / (k (2k+1)),
     whose terms shrink at least geometrically (ratio <= 1/4).
     Absolute error stays below 1e-12.
     """
@@ -60,9 +79,9 @@ def lobachevsky(theta: float) -> float:
     sign, x = (1.0, r) if r > 0 else (-1.0, -r)
     total = x - x * math.log(2.0 * x)
     power = x
-    step = (x / math.pi) ** 2
-    for k, z in enumerate(_ZETA_EVEN, start=1):
-        power *= step
+    x2 = x * x
+    for k, z in enumerate(_ZETA_EVEN_OVER_PI, start=1):
+        power *= x2
         term = z * power / (k * (2 * k + 1))
         total += term
         if term < 1e-18:
@@ -136,7 +155,10 @@ def regular_tet(side: float) -> KleinTetrahedron:
     """
     if side <= 0:
         raise HyperbolicError("side length must be positive")
-    ch = math.cosh(side)
+    try:
+        ch = math.cosh(side)
+    except OverflowError:
+        raise HyperbolicError(f"cosh of side length {side} overflows a double") from None
     radius = math.sqrt(3.0 * (ch - 1.0) / (3.0 * ch + 1.0))
     return KleinTetrahedron(radius * _REGULAR_DIRECTIONS)
 

@@ -22,10 +22,11 @@ identifier, not a product.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping
+
+from .unipoly import CoeffLike, UniPoly
 
 Exponents = tuple[int, int]
-CoeffLike = Union[int, str, Fraction]
 
 # Exponents past this bound are treated as input errors: they are almost
 # certainly typos and would make dense expansion or printing blow up.
@@ -321,7 +322,23 @@ class LaurentPoly2:
             total = total + (c if exact else complex(c)) * xv * yv
         return total
 
-    def specialize(self, axis: int, value: CoeffLike):
+    def coeff_polys(self, main_axis: int) -> dict[int, UniPoly]:
+        """Map each power of the main variable to its coefficient, a UniPoly
+        in the other variable; that one's exponents must be nonnegative.
+        """
+        acc: dict[int, dict[int, Fraction]] = {}
+        for (i, j), coeff in self.terms.items():
+            main, other = (j, i) if main_axis == 1 else (i, j)
+            acc.setdefault(main, {})[other] = coeff
+        out = {}
+        for main, cmap in acc.items():
+            coeffs = [Fraction(0)] * (max(cmap) + 1)
+            for k, v in cmap.items():
+                coeffs[k] = v
+            out[main] = UniPoly(coeffs)
+        return out
+
+    def specialize(self, axis: int, value: CoeffLike) -> UniPoly:
         """Substitute an exact rational for one variable.
 
         Returns a :class:`slopesmith.unipoly.UniPoly` in the remaining
@@ -330,8 +347,6 @@ class LaurentPoly2:
         power becomes the constant term; zero sets in the torus do not see
         the shift.
         """
-        from .unipoly import UniPoly
-
         value = _as_fraction(value)
         if axis not in (0, 1):
             raise LaurentError("axis must be 0 or 1")

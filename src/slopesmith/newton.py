@@ -322,6 +322,7 @@ def minimality_check(poly: LaurentPoly2, expected_slopes) -> MinimalityReport:
         {v0: Fraction(1), (v0[0] + d2[0], v0[1] + d2[1]): poly.coeff(v3) / poly.coeff(v0)},
         poly.var_names,
     )
-    assert f1 * f2 == poly
+    if f1 * f2 != poly:
+        raise PolygonError("corner binomials do not multiply back to the polynomial")
     cert.append("binomial splitting found from the corner coefficients")
     return MinimalityReport("possibly-factorable", tuple(cert), witness=(f1, f2))

@@ -83,21 +83,6 @@ class IrreducibilityReport:
     detail: str = ""
 
 
-def _coeff_polys(poly: LaurentPoly2, main_axis: int) -> dict[int, UniPoly]:
-    """View as a polynomial in the main variable with UniPoly coefficients."""
-    acc: dict[int, dict[int, Fraction]] = {}
-    for (i, j), coeff in poly.terms.items():
-        main, other = (j, i) if main_axis == 1 else (i, j)
-        acc.setdefault(main, {})[other] = coeff
-    out = {}
-    for main, cmap in acc.items():
-        coeffs = [Fraction(0)] * (max(cmap) + 1)
-        for k, v in cmap.items():
-            coeffs[k] = v
-        out[main] = UniPoly(coeffs)
-    return out
-
-
 def _from_coeff_polys(cmap: dict[int, UniPoly], main_axis: int, var_names) -> LaurentPoly2:
     terms: dict[tuple[int, int], Fraction] = {}
     for main, up in cmap.items():
@@ -118,7 +103,7 @@ def _content(cmap: dict[int, UniPoly]) -> UniPoly:
 
 def _primitive_part(poly: LaurentPoly2, main_axis: int) -> LaurentPoly2:
     """Divide out the polynomial content of the coefficient map."""
-    cmap = _coeff_polys(poly, main_axis)
+    cmap = poly.coeff_polys(main_axis)
     content = _content(cmap)
     if content.degree() < 1:
         return poly
@@ -168,7 +153,7 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
         raise ObstructionError("constant or single-term input")
 
     for main_axis in (1, 0):
-        cmap = _coeff_polys(poly, main_axis)
+        cmap = poly.coeff_polys(main_axis)
         if len(cmap) == 1:
             # Pure power of the main variable times a univariate polynomial.
             (main, up), = cmap.items()
@@ -194,7 +179,7 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
         deg = deg2 if main_axis == 1 else deg1
         if deg != 2:
             continue
-        cmap = _coeff_polys(poly, main_axis)
+        cmap = poly.coeff_polys(main_axis)
         a = cmap.get(2, UniPoly.zero())
         b = cmap.get(1, UniPoly.zero())
         c = cmap.get(0, UniPoly.zero())
@@ -215,7 +200,8 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
         prod = f1 * f2
         lead_exp = prod._sorted_terms()[-1][0]
         scale = poly.coeff(lead_exp) / prod.coeff(lead_exp)
-        assert f1 * f2 * scale == poly
+        if f1 * f2 * scale != poly:
+            raise ObstructionError("square-discriminant factors do not multiply back")
         return IrreducibilityReport(
             "factors", (f1, f2), detail=f"square discriminant; scale {scale}"
         )
@@ -443,9 +429,9 @@ def ratio_constant_check(
     # positive degree; remainders of lower degree vanish mod the curve
     # only when identically zero.
     main_axis = 1 if max(j for _, j in curve.terms) > 0 else 0
-    a_map = _coeff_polys(curve, main_axis)
-    u_map = _coeff_polys(num, main_axis)
-    v_map = _coeff_polys(den, main_axis)
+    a_map = curve.coeff_polys(main_axis)
+    u_map = num.coeff_polys(main_axis)
+    v_map = den.coeff_polys(main_axis)
     r_u, s_u = _pseudo_remainder(u_map, a_map)
     r_v, s_v = _pseudo_remainder(v_map, a_map)
     lc = a_map[max(a_map)]
@@ -551,11 +537,10 @@ def _numeric_witnesses(curve, num, den) -> tuple[str, ...]:
     """Two floating curve points with visibly different ratios."""
     import numpy as np
 
-    main_axis = 1
+    cmap = curve.coeff_polys(1)
+    top = max(cmap)
     out = []
     for x0 in (2.0, 1.5 + 0.5j):
-        cmap = _coeff_polys(curve, main_axis)
-        top = max(cmap)
         coeffs = [complex(cmap.get(k, UniPoly.zero()).evaluate(x0)) for k in range(top + 1)]
         roots = np.roots(list(reversed(coeffs)))
         for r in roots:

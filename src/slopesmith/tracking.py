@@ -2,10 +2,11 @@
 
 A branch of {A = 0} is followed by specializing A at each waypoint of a
 path in the first variable, solving the resulting univariate polynomial
-with a simultaneous-iteration root finder, and picking the root nearest
-the previous sample.  Ambiguity (the previous value sits near the Voronoi
-boundary between two roots) triggers step halving; persistent ambiguity
-is an error, never a silent branch choice.
+by companion-matrix eigenvalues (``np.roots``, backward stable), polishing
+with three Newton steps, and picking the root nearest the previous sample.
+Ambiguity (the previous value sits near the Voronoi boundary between two
+roots) triggers step halving; persistent ambiguity is an error, never a
+silent branch choice.
 
 The tracked samples support the trapezoidal line integral of the 1-form
 log|a| d(arg b) - log|b| d(arg a), whose -1/2 multiple measures volume
@@ -79,69 +80,21 @@ def _relative_residual(poly: LaurentPoly2, point: tuple[complex, complex]) -> fl
     return abs(value) / scale if scale > 0 else math.inf
 
 
-def _coeff_functions(poly: LaurentPoly2) -> list[UniPoly]:
-    """Coefficients of the second variable as polynomials in the first."""
-    poly = poly.normalize()
-    top = max(j for _, j in poly.terms)
-    acc: list[dict[int, object]] = [dict() for _ in range(top + 1)]
-    for (i, j), c in poly.terms.items():
-        acc[j][i] = c
-    out = []
-    for cmap in acc:
-        if not cmap:
-            out.append(UniPoly(()))
-            continue
-        coeffs = [0] * (max(cmap) + 1)
-        for k, v in cmap.items():
-            coeffs[k] = v
-        out.append(UniPoly(coeffs))
-    return out
-
-
-def _durand_kerner(coeffs: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
-    """All roots of the polynomial with the given ascending coefficients."""
-    monic = coeffs / coeffs[-1]
-    degree = len(monic) - 1
-    if degree == 0:
-        return np.array([], dtype=complex)
-    if warm is not None and len(warm) == degree:
-        z = warm.astype(complex).copy()
-        # Collapsed warm starts stall the iteration; perturb them apart.
-        for k in range(degree):
-            for j in range(k):
-                if abs(z[k] - z[j]) < 1e-12:
-                    z[k] += (1e-6 + 1e-6j) * (k + 1)
-    else:
-        seed = 0.4 + 0.9j
-        z = seed ** np.arange(1, degree + 1)
-    poly_desc = monic[::-1]
-    scale = 1.0 + np.abs(z).max()
-    for _ in range(500):
-        values = np.polyval(poly_desc, z)
-        denom = np.ones_like(z)
-        for k in range(degree):
-            others = np.delete(z, k)
-            denom[k] = np.prod(z[k] - others) if degree > 1 else 1.0
-        step = values / denom
-        z = z - step
-        scale = 1.0 + np.abs(z).max()
-        if np.abs(step).max() <= 1e-13 * scale:
-            return z
-    raise RootSolveError("root iteration did not converge in 500 steps")
-
-
-def _solve_fiber(
-    funcs: list[UniPoly], m: complex, warm: np.ndarray | None
-) -> np.ndarray:
-    coeffs = np.array([complex(f.evaluate(m)) for f in funcs])
+def _solve_fiber(cmap: dict[int, UniPoly], m: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber polynomial over m (descending coefficients) and its roots."""
+    if max(cmap) < 1:
+        raise TrackingError("the curve polynomial must involve the second variable")
+    coeffs = np.zeros(max(cmap) + 1, dtype=complex)
+    for j, f in cmap.items():
+        coeffs[-1 - j] = complex(f.evaluate(m))
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise TrackingError(f"the curve contains the whole fiber over {m}")
-    if abs(coeffs[-1]) < 1e-14 * top:
+    if abs(coeffs[0]) < 1e-14 * top:
         raise DiscriminantCollisionError(
             f"leading coefficient vanishes near {m}: a root escapes to infinity"
         )
-    return _durand_kerner(coeffs, warm)
+    return coeffs, np.roots(coeffs)
 
 
 def _select_root(roots: np.ndarray, previous: complex):
@@ -155,25 +108,21 @@ def _select_root(roots: np.ndarray, previous: complex):
     return pick
 
 
-def _polish(funcs: list[UniPoly], m: complex, b: complex) -> complex:
-    coeffs = [complex(f.evaluate(m)) for f in funcs]
-    p = np.array(coeffs[::-1])
-    dp = np.polyder(p)
+def _polish(coeffs: np.ndarray, b: complex) -> complex:
+    """Three Newton steps on a root of the descending coefficient vector."""
+    dp = np.polyder(coeffs)
     for _ in range(3):
         dv = np.polyval(dp, b)
         if dv == 0:
             break
-        b = b - np.polyval(p, b) / dv
+        b = b - np.polyval(coeffs, b) / dv
     return b
 
 
 def fiber_roots(poly: LaurentPoly2, m: complex) -> list[complex]:
     """Second-coordinate values over a first coordinate, sorted by (re, im)."""
-    funcs = _coeff_functions(poly)
-    if len(funcs) < 2:
-        raise TrackingError("the curve polynomial must involve the second variable")
-    roots = _solve_fiber(funcs, complex(m), None)
-    polished = [_polish(funcs, complex(m), complex(r)) for r in roots]
+    coeffs, roots = _solve_fiber(poly.normalize().coeff_polys(1), complex(m))
+    polished = [_polish(coeffs, complex(r)) for r in roots]
     return sorted(polished, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
@@ -205,35 +154,31 @@ def track_curve(
             f"start point residual {first_residual:.3g} exceeds {residual_tol:.3g}"
         )
 
-    funcs = _coeff_functions(poly)
-    if len(funcs) < 2:
-        raise TrackingError("the curve polynomial must involve the second variable")
+    cmap = poly.normalize().coeff_polys(1)
     samples = [(a0, b0)]
     residuals = [first_residual]
-    roots = _solve_fiber(funcs, a0, None)
-    pick = _select_root(roots, b0)
-    if pick is None:
+    if _select_root(_solve_fiber(cmap, a0)[1], b0) is None:
         raise DiscriminantCollisionError("start point lies between two close roots")
     halvings_used = 0
 
-    def advance(m_new: complex, b_prev: complex, warm: np.ndarray, depth: int):
+    def advance(m_new: complex, b_prev: complex, depth: int) -> None:
         nonlocal halvings_used
         try:
-            roots_new = _solve_fiber(funcs, m_new, warm)
+            coeffs, roots_new = _solve_fiber(cmap, m_new)
             choice = _select_root(roots_new, b_prev)
         except DiscriminantCollisionError:
-            choice, roots_new = None, None
+            choice = None
         if choice is None:
             if depth >= max_halvings:
                 raise DiscriminantCollisionError(
                     f"ambiguous branch near {m_new} after {max_halvings} halvings"
                 )
             halvings_used += 1
-            m_prev = samples[-1][0]
-            mid = (m_prev + m_new) / 2.0
-            warm = advance(mid, samples[-1][1], warm, depth + 1)
-            return advance(m_new, samples[-1][1], warm, depth + 1)
-        b_new = _polish(funcs, m_new, complex(roots_new[choice]))
+            mid = (samples[-1][0] + m_new) / 2.0
+            advance(mid, samples[-1][1], depth + 1)
+            advance(m_new, samples[-1][1], depth + 1)
+            return
+        b_new = _polish(coeffs, complex(roots_new[choice]))
         res = _relative_residual(poly, (m_new, b_new))
         if res > residual_tol:
             raise RootSolveError(
@@ -241,15 +186,13 @@ def track_curve(
             )
         samples.append((m_new, b_new))
         residuals.append(res)
-        return roots_new
 
-    warm = roots
     for seg_start, seg_end in zip(waypoints, waypoints[1:]):
         length = abs(seg_end - seg_start)
         n_steps = max(1, math.ceil(length / step))
         for k in range(1, n_steps + 1):
             target = seg_start + (seg_end - seg_start) * (k / n_steps)
-            warm = advance(target, samples[-1][1], warm, 0)
+            advance(target, samples[-1][1], 0)
 
     return CurvePath(
         tuple(samples),

@@ -89,6 +89,12 @@ def test_obstruct_cyclic_accepts_rational_c(capsys):
     assert code == 3
 
 
+def test_obstruct_cyclic_zero_denominator_exits_two(capsys):
+    code, _, err = run(capsys, "obstruct", "cyclic", "--c", "1/0")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_obstruct_diameter_exit_codes(capsys):
     code12, out12, _ = run(capsys, "obstruct", "diameter", "--p", "1", "--q", "2")
     assert code12 == 3
@@ -132,6 +138,12 @@ def test_volume_tet_side(capsys):
     assert "0.399338" in out
 
 
+def test_volume_tet_overflowing_side_exits_two(capsys):
+    code, _, err = run(capsys, "volume", "tet", "--side", "800")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_volume_tet_needs_exactly_one_shape(capsys):
     code, _, err = run(capsys, "volume", "tet")
     assert code == 2
@@ -145,6 +157,15 @@ def test_volume_decay_table(capsys):
     assert code == 0
     assert "side" in out and "ratio" in out
     assert "fitted decay rate" in out
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_volume_decay_nonpositive_step_exits_two(capsys, step):
+    code, _, err = run(
+        capsys, "volume", "decay", "--from", "4", "--to", "6", "--step", step
+    )
+    assert code == 2
+    assert "--step" in err
 
 
 def test_volume_eta_small_loop(capsys):

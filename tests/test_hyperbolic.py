@@ -1,8 +1,13 @@
 """Unit tests for hyperbolic geometry: angle function, distances, volumes."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +28,7 @@ from slopesmith import (
     regular_tet,
     volume_defect_report,
 )
+from slopesmith.hyperbolic import _ZETA_EVEN_OVER_PI
 from _oracles import lobachevsky_oracle
 
 CATALAN = 0.915965594177219015054603514932
@@ -42,6 +48,32 @@ def test_lobachevsky_matches_dilogarithm_oracle():
     for k in range(1, 40):
         theta = k * math.pi / 40
         assert abs(lobachevsky(theta) - lobachevsky_oracle(theta)) < 1e-12
+
+
+def test_zeta_table_is_exact():
+    assert _ZETA_EVEN_OVER_PI[:3] == (1 / 6, 1 / 90, 1 / 945)
+    assert len(_ZETA_EVEN_OVER_PI) == 40
+    with mpmath.workdps(40):
+        for k, z in enumerate(_ZETA_EVEN_OVER_PI, start=1):
+            want = float(mpmath.zeta(2 * k) / mpmath.pi ** (2 * k))
+            assert abs(z - want) <= 1e-16 * want
+
+
+def test_lobachevsky_returns_plain_float():
+    for theta in (0.0, 0.3, -1.2, math.pi / 3, 7.0):
+        assert type(lobachevsky(theta)) is float
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, slopesmith; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_lobachevsky_is_odd_and_pi_periodic():
@@ -162,6 +194,11 @@ def test_regular_tet_is_regular():
     assert max(abs(d - 2.0) for d in dists) < 1e-12
     assert not t.ideal_mask().any()
     assert ideal_regular_tet().ideal_mask().all()
+
+
+def test_regular_tet_refuses_overflowing_side():
+    with pytest.raises(HyperbolicError):
+        regular_tet(800.0)
 
 
 def test_face_angles_two_routes_agree_on_regular_tet():

@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath
 import pytest
 
 from slopesmith import (
@@ -13,6 +14,7 @@ from slopesmith import (
     integrate_volume_form,
     load_corpus_entry,
     parse_poly,
+    prescribed_slope_curve,
     track_curve,
     volume_change,
 )
@@ -159,3 +161,36 @@ def test_tracking_runtime_is_modest():
     start = time.perf_counter()
     track_curve(poly, (1.2, b0), [1.2, 1.25, 1.2 + 0.05j, 1.2], step=0.002)
     assert time.perf_counter() - start < 10.0
+
+
+# Fibers of degree 10, 12 and 22 close to m = 1, where the roots crowd together.
+_NEAR_ONE = [
+    (1, 5, 1.05 + 0.02j, 1.09 + 0.02j),
+    (5, 6, 1.12 + 0.02j, 1.16 + 0.02j),
+    (5, 11, 1.08 + 0.02j, 1.12 + 0.02j),
+]
+
+
+@pytest.mark.parametrize("p, q, m0, m1", _NEAR_ONE)
+def test_track_high_degree_fibers_near_one(p, q, m0, m1):
+    poly = prescribed_slope_curve(p, q, 1)
+    roots = fiber_roots(poly, m0)
+    assert len(roots) == 2 * q
+    path = track_curve(poly, (m0, roots[0]), [m0, m1], step=0.005)
+    assert abs(path.samples[-1][0] - m1) < 1e-12
+    assert max(path.residuals) <= path.residual_tol
+
+
+def test_fiber_roots_degree_22_match_mpmath():
+    poly = prescribed_slope_curve(5, 11, 1).normalize()
+    m0 = 1.08 + 0.02j
+    with mpmath.workdps(50):
+        m = mpmath.mpc(m0.real, m0.imag)
+        coeffs = [mpmath.mpc(0)] * 23
+        for (i, j), c in poly.terms.items():
+            coeffs[22 - j] += mpmath.mpf(c.numerator) / c.denominator * m**i
+        reference = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)]
+    roots = fiber_roots(poly, m0)
+    assert len(roots) == 22
+    assert max(min(abs(r - x) for x in roots) for r in reference) < 1e-6
+    assert max(min(abs(r - x) for x in reference) for r in roots) < 1e-6
