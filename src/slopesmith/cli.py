@@ -10,15 +10,17 @@ Subcommands:
   volume eta         line integral of the volume form along a tracked branch
 
 Every command prints a text report to stdout; --out BASE additionally
-writes BASE.txt and BASE.json with the same content.  Exit codes: 0 for
-success/consistent, 3 for an established contradiction, 2 for errors and
-inconclusive runs.
+writes BASE.txt and BASE.json with the same content.  Each handler records
+every field once, through ``_Report``, which writes it to both forms.
+Exit codes: 0 for success/consistent, 3 for an established contradiction,
+2 for errors and inconclusive runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import math
 import re
 import sys
@@ -34,7 +36,7 @@ from .hyperbolic import (
     volume_defect_report,
 )
 from .laurent import LaurentPoly2
-from .newton import DegeneratePolygonError, axis_diameter, boundary_slopes, newton_polygon
+from .newton import axis_diameter, boundary_slopes, newton_polygon
 from .obstruction import cyclic_verdict, detect_symmetries, diameter_verdict
 from .reports import format_table, format_value, write_report
 from .seminorm import (
@@ -62,8 +64,33 @@ def _parse_angle(text: str) -> float:
     return float(t)
 
 
-def _fmt_point(point) -> str:
-    return "(" + ", ".join(str(c) for c in point) + ")"
+def _fmt_points(points, sep: str = " ") -> str:
+    return sep.join("(" + ", ".join(str(c) for c in point) + ")" for point in points)
+
+
+class _Report:
+    """A report under construction, with each field recorded once.
+
+    ``field`` stores the value under its key in the JSON payload and, when
+    it has a label, writes the text line ``label: text``; the text defaults
+    to the formatted value.  A key or label of None leaves that side out.
+    """
+
+    def __init__(self, command: str, title: str | None = None):
+        self.payload: dict = {"command": command}
+        self.lines: list[str] = [] if title is None else [title]
+
+    def field(self, key: str | None, label: str | None, value, text: str | None = None) -> None:
+        if key is not None:
+            self.payload[key] = value
+        if label is not None:
+            self.lines.append(f"{label}: {format_value(value) if text is None else text}")
+
+    def line(self, text: str) -> None:
+        self.lines.append(text)
+
+    def result(self, code: int = 0) -> tuple[str, dict, int]:
+        return "\n".join(self.lines), self.payload, code
 
 
 def _load_entry(args):
@@ -84,100 +111,64 @@ def _load_entry(args):
 def _run_analyze(args) -> tuple[str, dict, int]:
     entry = _load_entry(args)
     poly = entry.poly
-    lines = [f"analyze: {entry.name}"]
-    payload: dict = {"command": "analyze", "name": entry.name}
-    lines.append(f"vars: {poly.var_names[0]}, {poly.var_names[1]}")
-    lines.append(f"polynomial: {poly}")
-    payload["vars"] = list(poly.var_names)
-    payload["polynomial"] = str(poly)
+    r = _Report("analyze")
+    r.field("name", "analyze", entry.name)
+    r.field("vars", "vars", poly.var_names, ", ".join(poly.var_names))
+    r.field("polynomial", "polynomial", str(poly))
 
     polygon = newton_polygon(poly.normalize())
-    verts = " ".join(_fmt_point(v) for v in polygon.vertices)
-    lines.append(f"newton polygon vertices: {verts}")
-    payload["polygon_vertices"] = [list(v) for v in polygon.vertices]
+    verts = polygon.vertices
+    r.field("polygon_vertices", "newton polygon vertices", verts, _fmt_points(verts))
 
     symmetries = sorted(detect_symmetries(poly))
+    _analyze_slopes(r, polygon)
+    r.field("symmetries", "symmetries", symmetries, ", ".join(symmetries) or "none")
+    return r.result()
+
+
+def _analyze_slopes(r: _Report, polygon) -> None:
+    """Slope, seminorm and fundamental-domain fields, or the degenerate mark."""
     if polygon.degenerate:
-        lines.append("newton polygon is degenerate; no slope analysis")
-        payload["degenerate"] = True
-        lines.append(f"symmetries: {', '.join(symmetries) or 'none'}")
-        payload["symmetries"] = symmetries
-        return "\n".join(lines), payload, 0
-
+        r.field("degenerate", None, True)
+        r.line("newton polygon is degenerate; no slope analysis")
+        return
     slopes = sorted(boundary_slopes(polygon), key=lambda s: s.sort_key())
-    lines.append(f"boundary slopes: {', '.join(str(s) for s in slopes)}")
-    payload["boundary_slopes"] = [str(s) for s in slopes]
-    lines.append(
-        "axis diameters: "
-        f"first={axis_diameter(polygon, 0)} second={axis_diameter(polygon, 1)}"
-    )
-    payload["axis_diameters"] = [axis_diameter(polygon, 0), axis_diameter(polygon, 1)]
-    diam = slope_set_diameter(slopes)
-    lines.append(f"slope diameter: {diam}")
-    payload["slope_diameter"] = str(diam)
+    names = [str(s) for s in slopes]
+    r.field("boundary_slopes", "boundary slopes", names, ", ".join(names))
+    first, second = axis_diameter(polygon, 0), axis_diameter(polygon, 1)
+    r.field("axis_diameters", "axis diameters", [first, second], f"first={first} second={second}")
+    r.field("slope_diameter", "slope diameter", str(slope_set_diameter(slopes)))
 
+    # A non-degenerate polygon has edges in two directions at least, so its
+    # seminorm is a norm and the norm ball is bounded.
     norm = seminorm_from_polygon(polygon)
-    func_text = "; ".join(_fmt_point(f) for f in norm.functionals)
-    lines.append(f"seminorm functionals (q, p, weight): {func_text}")
-    payload["seminorm_functionals"] = [list(f) for f in norm.functionals]
+    label = "seminorm functionals (q, p, weight)"
+    r.field("seminorm_functionals", label, norm.functionals, _fmt_points(norm.functionals, "; "))
+    ball = ball_polygon(norm)
+    r.field("norm_ball", None, ball)
+    r.line(f"norm ball radius: {ball.radius}")
+    r.line(f"norm ball vertices: {_fmt_points(ball.vertices)}")
 
-    if not norm.is_norm():
-        lines.append("seminorm is not a norm (all edges parallel); no norm ball")
-        payload["norm_ball"] = None
-    else:
-        ball = ball_polygon(norm)
-        lines.append(f"norm ball radius: {ball.radius}")
-        ball_verts = " ".join(_fmt_point(v) for v in ball.vertices)
-        lines.append(f"norm ball vertices: {ball_verts}")
-        payload["norm_ball"] = {
-            "radius": ball.radius,
-            "vertices": [list(v) for v in ball.vertices],
-        }
-        mu = PeripheralClass(1, 0)
-        try:
-            check = fundamental_polygon_check(ball, mu)
-        except FundamentalPolygonError as err:
-            lines.append(f"fundamental-domain check: not applicable ({err})")
-            payload["fundamental_check"] = {"applicable": False, "reason": str(err)}
-        else:
-            status = "pass" if check.passed else "fail"
-            lines.append(f"fundamental-domain check: {status}")
-            lines.append(f"  area: {check.area}")
-            marked = "yes" if check.mu_at_edge_midpoint else "no"
-            lines.append(f"  marked point (1, 0) at an edge midpoint: {marked}")
-            lines.append(f"  slope conditions: {'yes' if check.slopes_ok else 'no'}")
-            if check.p is not None:
-                lines.append(f"  filling parameters (p, q): ({check.p}, {check.q})")
-            for reason in check.reasons:
-                lines.append(f"  reason: {reason}")
-            payload["fundamental_check"] = {
-                "applicable": True,
-                "passed": check.passed,
-                "area": check.area,
-                "mu_at_edge_midpoint": check.mu_at_edge_midpoint,
-                "slopes_ok": check.slopes_ok,
-                "p": check.p,
-                "q": check.q,
-                "reasons": list(check.reasons),
-            }
-
-    lines.append(f"symmetries: {', '.join(symmetries) or 'none'}")
-    payload["symmetries"] = symmetries
-    return "\n".join(lines), payload, 0
+    label = "fundamental-domain check"
+    try:
+        check = fundamental_polygon_check(ball, PeripheralClass(1, 0))
+    except FundamentalPolygonError as err:
+        r.field("fundamental_check", label, {"applicable": False, "reason": str(err)},
+                f"not applicable ({err})")
+        return
+    r.field("fundamental_check", label, {"applicable": True, **dataclasses.asdict(check)},
+            "pass" if check.passed else "fail")
+    r.line(f"  area: {check.area}")
+    marked = "yes" if check.mu_at_edge_midpoint else "no"
+    r.line(f"  marked point (1, 0) at an edge midpoint: {marked}")
+    r.line(f"  slope conditions: {'yes' if check.slopes_ok else 'no'}")
+    if check.p is not None:
+        r.line(f"  filling parameters (p, q): ({check.p}, {check.q})")
+    for reason in check.reasons:
+        r.line(f"  reason: {reason}")
 
 
 # -- obstruct ------------------------------------------------------------------
-
-
-def _obstruction_text(report) -> str:
-    lines = [f"pipeline: {report.pipeline}"]
-    for key in sorted(report.inputs):
-        lines.append(f"input {key}: {report.inputs[key]}")
-    lines.append("evidence:")
-    for k, step in enumerate(report.evidence, start=1):
-        lines.append(f"  {k}. {step.step} [{step.rule}] {step.value}")
-    lines.append(f"verdict: {report.verdict}")
-    return "\n".join(lines)
 
 
 def _run_obstruct(args) -> tuple[str, dict, int]:
@@ -189,9 +180,16 @@ def _run_obstruct(args) -> tuple[str, dict, int]:
         report = cyclic_verdict(c, bound=args.bound)
     else:
         report = diameter_verdict(args.p, args.q)
-    payload = {"command": f"obstruct-{args.pipeline}"}
-    payload.update(report.to_dict())
-    return _obstruction_text(report), payload, _VERDICT_EXIT[report.verdict]
+    r = _Report(f"obstruct-{args.pipeline}")
+    r.payload.update(report.to_dict())
+    r.line(f"pipeline: {report.pipeline}")
+    for key in sorted(report.inputs):
+        r.line(f"input {key}: {report.inputs[key]}")
+    r.line("evidence:")
+    for k, step in enumerate(report.evidence, start=1):
+        r.line(f"  {k}. {step.step} [{step.rule}] {step.value}")
+    r.line(f"verdict: {report.verdict}")
+    return r.result(_VERDICT_EXIT[report.verdict])
 
 
 # -- volume --------------------------------------------------------------------
@@ -199,16 +197,10 @@ def _run_obstruct(args) -> tuple[str, dict, int]:
 
 def _run_lobachevsky(args) -> tuple[str, dict, int]:
     theta = _parse_angle(args.theta)
-    value = lobachevsky(theta)
-    text = "\n".join(
-        [
-            "angle function",
-            f"theta: {format_value(theta)}",
-            f"value: {format_value(value)}",
-        ]
-    )
-    payload = {"command": "volume-lobachevsky", "theta": theta, "value": value}
-    return text, payload, 0
+    r = _Report("volume-lobachevsky", "angle function")
+    r.field("theta", "theta", theta)
+    r.field("value", "value", lobachevsky(theta))
+    return r.result()
 
 
 def _run_tet(args) -> tuple[str, dict, int]:
@@ -221,26 +213,17 @@ def _run_tet(args) -> tuple[str, dict, int]:
         tet = regular_tet(args.side)
         label = f"regular tetrahedron with side {format_value(args.side)}"
     vol = klein_volume(tet, args.tol)
-    defect = REGULAR_IDEAL_VOLUME - vol
-    text = "\n".join(
-        [
-            "tetrahedron volume",
-            f"shape: {label}",
-            f"quadrature tolerance: {format_value(args.tol)}",
-            f"volume: {format_value(vol)}",
-            f"maximal volume: {format_value(REGULAR_IDEAL_VOLUME)}",
-            f"defect: {format_value(defect)}",
-        ]
-    )
-    payload = {
-        "command": "volume-tet",
-        "shape": label,
-        "tol": args.tol,
-        "volume": vol,
-        "max_volume": REGULAR_IDEAL_VOLUME,
-        "defect": defect,
-    }
-    return text, payload, 0
+    r = _Report("volume-tet", "tetrahedron volume")
+    r.field("shape", "shape", label)
+    r.field("tol", "quadrature tolerance", args.tol)
+    r.field("volume", "volume", vol)
+    r.field("max_volume", "maximal volume", REGULAR_IDEAL_VOLUME)
+    r.field("defect", "defect", REGULAR_IDEAL_VOLUME - vol)
+    return r.result()
+
+
+# Each side costs one quadrature; a request for more is refused, not run.
+_MAX_DECAY_SIDES = 1000
 
 
 def _run_decay(args) -> tuple[str, dict, int]:
@@ -248,34 +231,23 @@ def _run_decay(args) -> tuple[str, dict, int]:
         raise ValueError("--to must not be below --from")
     if not args.step > 0:
         raise ValueError("--step must be positive")
-    sides = []
-    s = args.from_side
-    while s <= args.to_side + 1e-9:
-        sides.append(round(s, 12))
-        s += args.step
+    span = (args.to_side + 1e-9 - args.from_side) / args.step
+    if not span < _MAX_DECAY_SIDES:
+        raise ValueError(f"--from, --to and --step ask for more than {_MAX_DECAY_SIDES} sides")
+    sides = [round(args.from_side + k * args.step, 12) for k in range(int(span) + 1)]
     report = volume_defect_report(sides, tol=args.tol)
-    rows = [
-        [r.side, r.volume, r.defect, r.scaled_defect, r.ratio]
-        for r in report.rows
-    ]
-    table = format_table(
-        ["side", "volume", "defect", "side^2*defect", "ratio"], rows
+    r = _Report("volume-decay", "volume defect decay")
+    r.field("tol", "quadrature tolerance", args.tol)
+    r.field("rows", None, report.rows)
+    r.line(
+        format_table(
+            ["side", "volume", "defect", "side^2*defect", "ratio"],
+            [[w.side, w.volume, w.defect, w.scaled_defect, w.ratio] for w in report.rows],
+        )
     )
-    text = "\n".join(
-        [
-            "volume defect decay",
-            f"quadrature tolerance: {format_value(args.tol)}",
-            table,
-            f"fitted decay rate (log defect per unit side): {format_value(report.decay_rate)}",
-        ]
-    )
-    payload = {
-        "command": "volume-decay",
-        "tol": args.tol,
-        "rows": report.rows,
-        "decay_rate": report.decay_rate,
-    }
-    return text, payload, 0
+    label = "fitted decay rate (log defect per unit side)"
+    r.field("decay_rate", label, report.decay_rate)
+    return r.result()
 
 
 def _parse_waypoints(text: str) -> list[complex]:
@@ -307,32 +279,18 @@ def _run_eta(args) -> tuple[str, dict, int]:
         poly, start, waypoints, step=args.step, residual_tol=args.tol
     )
     integral = integrate_volume_form(path)
-    text = "\n".join(
-        [
-            "volume-form line integral",
-            f"curve: {entry.name}",
-            f"branch: {args.branch} of {len(roots)}",
-            f"samples: {len(path.samples)}",
-            f"max residual: {format_value(max(path.residuals))}",
-            f"integral: {format_value(integral)}",
-            f"volume change (-1/2 * integral): {format_value(-0.5 * integral)}",
-        ]
-    )
-    payload = {
-        "command": "volume-eta",
-        "curve": entry.name,
-        "branch": args.branch,
-        "n_branches": len(roots),
-        "step": args.step,
-        "residual_tol": args.tol,
-        "integral": integral,
-        "volume_change": -0.5 * integral,
-        "samples": [
-            {"m": m, "b": b, "residual": r}
-            for (m, b), r in zip(path.samples, path.residuals)
-        ],
-    }
-    return text, payload, 0
+    r = _Report("volume-eta", "volume-form line integral")
+    r.field("curve", "curve", entry.name)
+    r.field("branch", "branch", args.branch, f"{args.branch} of {len(roots)}")
+    r.field("n_branches", None, len(roots))
+    r.field("step", None, args.step)
+    r.field("residual_tol", None, args.tol)
+    samples = [{"m": m, "b": b, "residual": e} for (m, b), e in zip(path.samples, path.residuals)]
+    r.field("samples", "samples", samples, str(len(samples)))
+    r.field(None, "max residual", max(path.residuals))
+    r.field("integral", "integral", integral)
+    r.field("volume_change", "volume change (-1/2 * integral)", -0.5 * integral)
+    return r.result()
 
 
 # -- wiring --------------------------------------------------------------------

@@ -152,6 +152,7 @@ def regular_tet(side: float) -> KleinTetrahedron:
     The apex distance t solves cosh(side) = cosh^2 t + sinh^2 t / 3
     (law of cosines over the apex angle arccos(-1/3)), which gives the
     Klein radius tanh t = sqrt(3 (cosh side - 1) / (3 cosh side + 1)).
+    Sides past about 27.9 are refused: the radius rounds to an ideal vertex.
     """
     if side <= 0:
         raise HyperbolicError("side length must be positive")
@@ -160,7 +161,10 @@ def regular_tet(side: float) -> KleinTetrahedron:
     except OverflowError:
         raise HyperbolicError(f"cosh of side length {side} overflows a double") from None
     radius = math.sqrt(3.0 * (ch - 1.0) / (3.0 * ch + 1.0))
-    return KleinTetrahedron(radius * _REGULAR_DIRECTIONS)
+    tet = KleinTetrahedron(radius * _REGULAR_DIRECTIONS)
+    if tet.ideal_mask().any():
+        raise HyperbolicError(f"side length {side} rounds to an ideal tetrahedron")
+    return tet
 
 
 def klein_distance(x, y) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import CoeffLike, UniPoly
+from .unipoly import CoeffLike, UniPoly, as_fraction
 
 Exponents = tuple[int, int]
 
@@ -53,16 +53,6 @@ class EvaluationError(LaurentError):
     pass
 
 
-def _as_fraction(value: CoeffLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
-
-
 class LaurentPoly2:
     """A Laurent polynomial in two variables with rational coefficients."""
 
@@ -79,7 +69,7 @@ class LaurentPoly2:
         for (i, j), c in (terms or {}).items():
             if abs(i) > MAX_EXPONENT or abs(j) > MAX_EXPONENT:
                 raise ExponentOverflowError(f"exponent pair ({i}, {j}) out of range")
-            c = _as_fraction(c)
+            c = as_fraction(c)
             if c != 0:
                 clean[(int(i), int(j))] = c
         self.terms = clean
@@ -107,6 +97,19 @@ class LaurentPoly2:
     @classmethod
     def variable(cls, index: int, var_names: tuple[str, str] = ("m", "b")) -> "LaurentPoly2":
         return cls({(1, 0) if index == 0 else (0, 1): 1}, var_names)
+
+    @classmethod
+    def from_coeff_polys(
+        cls, cmap: Mapping[int, UniPoly], main_axis: int, var_names: tuple[str, str]
+    ) -> "LaurentPoly2":
+        """Inverse of :meth:`coeff_polys`: rebuild the polynomial from the
+        coefficient of each power of the main variable."""
+        terms: dict[Exponents, Fraction] = {}
+        for main, up in cmap.items():
+            for k, coeff in enumerate(up.coeffs):
+                if coeff != 0:
+                    terms[(k, main) if main_axis == 1 else (main, k)] = coeff
+        return cls(terms, var_names)
 
     # -- basic queries ----------------------------------------------------
 
@@ -271,7 +274,7 @@ class LaurentPoly2:
         elif action == "scale-first":
             if scale is None:
                 raise LaurentError("scale-first needs a rational scale factor")
-            s = _as_fraction(scale)
+            s = as_fraction(scale)
             if s == 0:
                 raise LaurentError("scale factor must be nonzero")
             new = {(i, j): c * s**i for (i, j), c in t.items()}
@@ -329,6 +332,8 @@ class LaurentPoly2:
         acc: dict[int, dict[int, Fraction]] = {}
         for (i, j), coeff in self.terms.items():
             main, other = (j, i) if main_axis == 1 else (i, j)
+            if other < 0:
+                raise LaurentError(f"term ({i}, {j}) has a negative power; normalize first")
             acc.setdefault(main, {})[other] = coeff
         out = {}
         for main, cmap in acc.items():
@@ -347,7 +352,7 @@ class LaurentPoly2:
         power becomes the constant term; zero sets in the torus do not see
         the shift.
         """
-        value = _as_fraction(value)
+        value = as_fraction(value)
         if axis not in (0, 1):
             raise LaurentError("axis must be 0 or 1")
         acc: dict[int, Fraction] = {}

@@ -14,13 +14,15 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly2
 from .newton import unity_order
-from .unipoly import UniPoly, poly_gcd, exact_sqrt, irreducible_over_q, rational_roots
+from .unipoly import (
+    UniPoly, exact_sqrt, integer_content, irreducible_over_q, poly_gcd, rational_roots
+)
 
 
 class ObstructionError(ValueError):
@@ -83,50 +85,20 @@ class IrreducibilityReport:
     detail: str = ""
 
 
-def _from_coeff_polys(cmap: dict[int, UniPoly], main_axis: int, var_names) -> LaurentPoly2:
-    terms: dict[tuple[int, int], Fraction] = {}
-    for main, up in cmap.items():
-        for k, coeff in enumerate(up.coeffs):
-            if coeff == 0:
-                continue
-            key = (k, main) if main_axis == 1 else (main, k)
-            terms[key] = coeff
-    return LaurentPoly2(terms, var_names)
-
-
-def _content(cmap: dict[int, UniPoly]) -> UniPoly:
-    g = UniPoly.zero()
+def _content_split(cmap: dict[int, UniPoly]) -> tuple[UniPoly, dict[int, UniPoly]]:
+    """The monic gcd of the coefficient polynomials, and each one divided by it."""
+    content = UniPoly.zero()
     for up in cmap.values():
-        g = poly_gcd(g, up)
-    return g
-
-
-def _primitive_part(poly: LaurentPoly2, main_axis: int) -> LaurentPoly2:
-    """Divide out the polynomial content of the coefficient map."""
-    cmap = poly.coeff_polys(main_axis)
-    content = _content(cmap)
-    if content.degree() < 1:
-        return poly
-    return _from_coeff_polys(
-        {m: up // content for m, up in cmap.items()}, main_axis, poly.var_names
-    )
+        content = poly_gcd(content, up)
+    return content, {m: up // content for m, up in cmap.items()}
 
 
 def _strip_rational_content(poly: LaurentPoly2) -> LaurentPoly2:
     """Scale to coprime integer coefficients with a canonical sign."""
     if poly.is_zero():
         return poly
-    from math import lcm
-
-    den = 1
-    for c in poly.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in poly.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    lead = poly._sorted_terms()[-1][1]
-    if lead < 0:
+    scale = 1 / integer_content(poly.terms.values())
+    if poly._sorted_terms()[-1][1] < 0:
         scale = -scale
     return poly * scale
 
@@ -156,20 +128,16 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
         cmap = poly.coeff_polys(main_axis)
         if len(cmap) == 1:
             # Pure power of the main variable times a univariate polynomial.
-            (main, up), = cmap.items()
             raise ObstructionError("input is univariate after normalization")
-        content = _content(cmap)
+        content, quotient = _content_split(cmap)
         if content.degree() >= 1:
-            quotient = {m: up // content for m, up in cmap.items()}
-            other_axis = 1 - main_axis
-            f1 = _from_coeff_polys({0: content}, main_axis, poly.var_names)
-            f2 = _from_coeff_polys(quotient, main_axis, poly.var_names)
+            f1 = LaurentPoly2.from_coeff_polys({0: content}, main_axis, poly.var_names)
+            f2 = LaurentPoly2.from_coeff_polys(quotient, main_axis, poly.var_names)
             return IrreducibilityReport(
                 "factors", (f1, f2), detail="nonconstant coefficient content"
             )
 
-    deg1 = max(e[0] for e in poly.terms)
-    deg2 = max(e[1] for e in poly.terms)
+    deg1, deg2 = poly.degree(0), poly.degree(1)
     if min(deg1, deg2) == 1:
         return IrreducibilityReport(
             "irreducible", detail="degree 1 in a variable with trivial content"
@@ -191,12 +159,17 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
                 detail="quadratic view: discriminant is not a polynomial square",
             )
         two_a = UniPoly.constant(2) * a
-        f1 = _from_coeff_polys({1: two_a, 0: b - root}, main_axis, poly.var_names)
-        f2 = _from_coeff_polys({1: two_a, 0: b + root}, main_axis, poly.var_names)
         # (2a y + b - s)(2a y + b + s) = 4a * poly, so each factor may carry
         # a polynomial content dividing 2a; strip it to get primitive parts.
-        f1 = _strip_rational_content(_primitive_part(f1, main_axis))
-        f2 = _strip_rational_content(_primitive_part(f2, main_axis))
+        factors = []
+        for s in (-root, root):
+            _, primitive = _content_split({1: two_a, 0: b + s})
+            factors.append(
+                _strip_rational_content(
+                    LaurentPoly2.from_coeff_polys(primitive, main_axis, poly.var_names)
+                )
+            )
+        f1, f2 = factors
         prod = f1 * f2
         lead_exp = prod._sorted_terms()[-1][0]
         scale = poly.coeff(lead_exp) / prod.coeff(lead_exp)
@@ -335,17 +308,10 @@ class RatioReport:
     witnesses: tuple[str, ...] = ()
 
 
-def _trace_square(poly_vars, axis: int) -> LaurentPoly2:
-    """(x - 1/x)^2 for one variable as a Laurent polynomial."""
-    x = LaurentPoly2.variable(axis, poly_vars)
+def _trace_square(x: LaurentPoly2) -> LaurentPoly2:
+    """(x - 1/x)^2 for a monomial x."""
     inv = x**-1
     return (x - inv) * (x - inv)
-
-
-def _trace_square_product(poly_vars) -> LaurentPoly2:
-    xy = LaurentPoly2.variable(0, poly_vars) * LaurentPoly2.variable(1, poly_vars)
-    inv = xy**-1
-    return (xy - inv) * (xy - inv)
 
 
 def _joint_clear(u: LaurentPoly2, v: LaurentPoly2) -> tuple[LaurentPoly2, LaurentPoly2]:
@@ -381,12 +347,6 @@ def _pseudo_remainder(
     return rem, steps
 
 
-def _scale_coeff_map(cmap: dict[int, UniPoly], factor: UniPoly, power: int):
-    for _ in range(power):
-        cmap = {k: v * factor for k, v in cmap.items()}
-    return cmap
-
-
 def ratio_constant_check(
     curve: LaurentPoly2, which: str, p: int | None = None, q: int | None = None
 ) -> RatioReport:
@@ -400,15 +360,16 @@ def ratio_constant_check(
     valid because the curve polynomial is irreducible and coprime to the
     leading coefficient used in the division.
     """
-    vars_ = curve.var_names
+    x = LaurentPoly2.variable(0, curve.var_names)
+    y = LaurentPoly2.variable(1, curve.var_names)
     if which == "cyclic":
-        num = _trace_square(vars_, 0)
-        den = _trace_square(vars_, 1)
+        num = _trace_square(x)
+        den = _trace_square(y)
     elif which == "diameter":
         if p is None or q is None or not (0 <= p <= q) or q < 1:
             raise ObstructionError("diameter mode needs 0 <= p <= q")
-        num = _trace_square(vars_, 1) ** p * _trace_square_product(vars_) ** (q - p)
-        den = _trace_square(vars_, 0) ** q
+        num = _trace_square(y) ** p * _trace_square(x * y) ** (q - p)
+        den = _trace_square(x) ** q
     else:
         raise ObstructionError(f"unknown mode {which!r}")
 
@@ -436,8 +397,8 @@ def ratio_constant_check(
     r_v, s_v = _pseudo_remainder(v_map, a_map)
     lc = a_map[max(a_map)]
     s = max(s_u, s_v)
-    r_u = _scale_coeff_map(r_u, lc, s - s_u)
-    r_v = _scale_coeff_map(r_v, lc, s - s_v)
+    r_u = {k: v * lc ** (s - s_u) for k, v in r_u.items()}
+    r_v = {k: v * lc ** (s - s_v) for k, v in r_v.items()}
 
     if not r_v:
         if not r_u:
@@ -485,15 +446,25 @@ def _two_distinct(samples):
     return tuple(by_ratio.values())
 
 
+_RATIONAL_PROBE_SEQUENCE = (
+    Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 2), Fraction(4),
+    Fraction(1, 2), Fraction(3, 2), Fraction(5), Fraction(7, 3), Fraction(8, 3),
+    Fraction(5, 4), Fraction(7, 4), Fraction(9, 4), Fraction(6), Fraction(7),
+    Fraction(-2), Fraction(-3), Fraction(-5, 2), Fraction(9, 2), Fraction(11, 2),
+    Fraction(10, 3), Fraction(11, 3), Fraction(8), Fraction(9), Fraction(10),
+    Fraction(11, 4), Fraction(13, 4), Fraction(15, 4), Fraction(11), Fraction(12),
+    Fraction(13, 2), Fraction(15, 2), Fraction(13, 3), Fraction(14, 3), Fraction(13),
+    Fraction(14), Fraction(15), Fraction(16), Fraction(17, 2), Fraction(19, 2),
+    Fraction(16, 3), Fraction(17, 3), Fraction(17), Fraction(18), Fraction(19),
+    Fraction(21, 2), Fraction(23, 2), Fraction(19, 3), Fraction(20, 3), Fraction(20),
+)
+
+
 def _sample_ratio(curve, num, den, attempts: int = 50):
     """Hunt rational curve points and evaluate the cleared ratio there."""
     candidate = None
     found = []
-    tried = 0
-    for value in _rational_probe_sequence():
-        if tried >= attempts:
-            break
-        tried += 1
+    for value in _RATIONAL_PROBE_SEQUENCE[:attempts]:
         u = curve.specialize(0, value)
         if u.is_zero() or u.degree() < 1:
             continue
@@ -516,21 +487,6 @@ def _sample_ratio(curve, num, den, attempts: int = 50):
         if len(found) >= 4:
             break
     return candidate, found
-
-
-def _rational_probe_sequence():
-    yield from (
-        Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 2), Fraction(4),
-        Fraction(1, 2), Fraction(3, 2), Fraction(5), Fraction(7, 3), Fraction(8, 3),
-        Fraction(5, 4), Fraction(7, 4), Fraction(9, 4), Fraction(6), Fraction(7),
-        Fraction(-2), Fraction(-3), Fraction(-5, 2), Fraction(9, 2), Fraction(11, 2),
-        Fraction(10, 3), Fraction(11, 3), Fraction(8), Fraction(9), Fraction(10),
-        Fraction(11, 4), Fraction(13, 4), Fraction(15, 4), Fraction(11), Fraction(12),
-        Fraction(13, 2), Fraction(15, 2), Fraction(13, 3), Fraction(14, 3), Fraction(13),
-        Fraction(14), Fraction(15), Fraction(16), Fraction(17, 2), Fraction(19, 2),
-        Fraction(16, 3), Fraction(17, 3), Fraction(17), Fraction(18), Fraction(19),
-        Fraction(21, 2), Fraction(23, 2), Fraction(19, 3), Fraction(20, 3), Fraction(20),
-    )
 
 
 def _numeric_witnesses(curve, num, den) -> tuple[str, ...]:

@@ -7,12 +7,27 @@ low degree first with trailing zeros trimmed.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd as int_gcd
-from typing import Iterable, Sequence, Union
+from math import gcd as int_gcd, lcm
+from typing import Collection, Iterable, Union
 
 CoeffLike = Union[int, str, Fraction]
+
+
+def as_fraction(value: CoeffLike) -> Fraction:
+    """Coerce an exact coefficient; floats are refused, not rounded."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
+
+
+def integer_content(coeffs: Collection[Fraction]) -> Fraction:
+    """The positive rational c for which the coefficients over c are coprime integers."""
+    den = lcm(*(c.denominator for c in coeffs))
+    num = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+    return Fraction(num, den)
 
 
 class UniPoly:
@@ -21,7 +36,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else as_fraction(c) for c in coeffs]
         # Trim trailing zeros.
         while cs and cs[-1] == 0:
             cs.pop()
@@ -34,10 +49,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c: CoeffLike) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def x_pow(cls, n: int) -> "UniPoly":
-        return cls([0] * n + [1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -164,18 +175,10 @@ class UniPoly:
         """Write self = content * primitive with integer coprime coefficients."""
         if self.is_zero():
             return self, Fraction(0)
-        from math import lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return UniPoly([v // g for v in ints]), Fraction(g, den)
+        content = integer_content(self.coeffs)
+        if self.coeffs[-1] < 0:
+            content = -content
+        return UniPoly([c / content for c in self.coeffs]), content
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -209,7 +212,9 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def x_pow_minus_one(n: int) -> UniPoly:
-    return UniPoly([-1] + [0] * (n - 1) + [1])
+    # Fractions, not ints: unity_order builds one per order, so the n + 1
+    # coefficients would each pass through as_fraction.
+    return UniPoly([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
 
 
 def exact_sqrt(p: UniPoly) -> UniPoly | None:
@@ -265,8 +270,6 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     q, _ = p.shift_down()
     prim, _ = q.integer_primitive()
     roots: list[Fraction] = []
-    if p[0] == 0 and q is not p:
-        pass  # x = 0 roots were shifted out; the torus never sees them
     a0 = int(prim.coeffs[0])
     an = int(prim.leading())
     if a0 == 0:

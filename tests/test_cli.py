@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,15 @@ def test_volume_tet_overflowing_side_exits_two(capsys):
     assert err.startswith("error:")
 
 
+def test_volume_tet_near_ideal_side_exits_two(capsys):
+    code, _, err = run(capsys, "volume", "tet", "--side", "28")
+    assert code == 2
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "volume", "tet", "--side", "27.5", "--tol", "1e-4")
+    assert code == 0
+    assert "regular tetrahedron with side 27.5" in out
+
+
 def test_volume_tet_needs_exactly_one_shape(capsys):
     code, _, err = run(capsys, "volume", "tet")
     assert code == 2
@@ -168,6 +178,27 @@ def test_volume_decay_nonpositive_step_exits_two(capsys, step):
     assert "--step" in err
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-12"])
+def test_volume_decay_refuses_too_many_sides(capsys, step):
+    # 4.0 + 1e-300 == 4.0: a side loop stepping by accumulation never ends.
+    code, _, err = run(
+        capsys, "volume", "decay", "--from", "4", "--to", "6", "--step", step
+    )
+    assert code == 2
+    assert "sides" in err
+
+
+def test_volume_decay_side_grid(tmp_path, capsys):
+    base = tmp_path / "grid"
+    code, _, _ = run(
+        capsys, "volume", "decay", "--from", "0.5", "--to", "2.2", "--step", "0.3",
+        "--tol", "1e-4", "--out", str(base),
+    )
+    assert code == 0
+    rows = json.loads(base.with_suffix(".json").read_text())["rows"]
+    assert [row["side"] for row in rows] == [0.5, 0.8, 1.1, 1.4, 1.7, 2.0]
+
+
 def test_volume_eta_small_loop(capsys):
     code, out, _ = run(capsys, "volume", "eta", "--poly", "fig8-knot", "--loop", "small")
     assert code == 0
@@ -184,12 +215,34 @@ def test_volume_eta_explicit_path(capsys):
     assert "volume change" in out
 
 
-def test_out_writes_byte_stable_report_pair(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, exit_code, expected",
+    [
+        (["analyze", "--poly", "fig8-sister"], 0,
+         {"command": "analyze", "boundary_slopes": ["-1/2", "3/2"]}),
+        (["obstruct", "cyclic", "--c", "2"], 3,
+         {"command": "obstruct-cyclic", "verdict": "contradiction-established"}),
+        (["obstruct", "diameter", "--p", "2", "--q", "3"], 0,
+         {"command": "obstruct-diameter", "verdict": "consistent"}),
+        (["volume", "lobachevsky", "--theta", "pi/3"], 0,
+         {"command": "volume-lobachevsky"}),
+        (["volume", "tet", "--side", "2", "--tol", "1e-5"], 0, {"command": "volume-tet"}),
+        (["volume", "decay", "--from", "1", "--to", "3", "--step", "1", "--tol", "1e-5"], 0,
+         {"command": "volume-decay"}),
+        (["volume", "eta", "--poly", "fig8-knot", "--m-path", "1.15,1.25+0.1j",
+          "--step", "0.02"], 0, {"command": "volume-eta"}),
+    ],
+    ids=[
+        "analyze", "obstruct-cyclic", "obstruct-diameter", "volume-lobachevsky",
+        "volume-tet", "volume-decay", "volume-eta",
+    ],
+)
+def test_out_writes_byte_stable_report_pair(tmp_path, capsys, argv, exit_code, expected):
     base_a = tmp_path / "a"
     base_b = tmp_path / "b"
-    code_a, out_a, _ = run(capsys, "analyze", "--poly", "fig8-sister", "--out", str(base_a))
-    code_b, out_b, _ = run(capsys, "analyze", "--poly", "fig8-sister", "--out", str(base_b))
-    assert code_a == code_b == 0
+    code_a, out_a, _ = run(capsys, *argv, "--out", str(base_a))
+    code_b, out_b, _ = run(capsys, *argv, "--out", str(base_b))
+    assert code_a == code_b == exit_code
     ta, ja = base_a.with_suffix(".txt"), base_a.with_suffix(".json")
     tb, jb = base_b.with_suffix(".txt"), base_b.with_suffix(".json")
     assert ta.read_bytes() == tb.read_bytes()
@@ -197,9 +250,36 @@ def test_out_writes_byte_stable_report_pair(tmp_path, capsys):
     # the text file mirrors stdout
     assert ta.read_text() == out_a
     payload = json.loads(ja.read_text())
-    assert payload["command"] == "analyze"
-    assert payload["boundary_slopes"] == ["-1/2", "3/2"]
+    for key, value in expected.items():
+        assert payload[key] == value
     assert payload["schema_version"] == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv, exit_code",
+    [
+        ("analyze-fig8-sister", ["analyze", "--poly", "fig8-sister"], 0),
+        ("analyze-fig8-knot-ml", ["analyze", "--poly", "fig8-knot", "--vars", "m,l"], 0),
+        ("obstruct-cyclic-2", ["obstruct", "cyclic", "--c", "2"], 3),
+        ("obstruct-cyclic-neg3over4-bound30",
+         ["obstruct", "cyclic", "--c=-3/4", "--bound", "30"], 3),
+        ("obstruct-diameter-2-5", ["obstruct", "diameter", "--p", "2", "--q", "5"], 0),
+    ],
+)
+def test_exact_reports_match_golden_files(tmp_path, capsys, name, argv, exit_code):
+    """Exact reports are byte-identical to the pinned stdout and BASE.json.
+
+    Only exact commands are pinned: float reports may move in the last
+    digits.  Regenerate a pair only for an intended change of the format.
+    """
+    base = tmp_path / "report"
+    code, out, err = run(capsys, *argv, "--out", str(base))
+    assert (code, err) == (exit_code, "")
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert base.with_suffix(".json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_out_for_obstruct_json_carries_verdict(tmp_path, capsys):

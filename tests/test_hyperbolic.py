@@ -201,6 +201,12 @@ def test_regular_tet_refuses_overflowing_side():
         regular_tet(800.0)
 
 
+def test_regular_tet_refuses_sides_whose_vertices_round_to_ideal():
+    assert not regular_tet(27.5).ideal_mask().any()
+    with pytest.raises(HyperbolicError):
+        regular_tet(28.0)
+
+
 def test_face_angles_two_routes_agree_on_regular_tet():
     side = 10.0
     t = regular_tet(side)

@@ -188,3 +188,10 @@ def test_equality_and_hash_ignore_term_order():
     b = LaurentPoly2({(0, 1): 2, (1, 0): 1})
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_coeff_polys_refuses_negative_power_of_other_variable():
+    # m^-1 b would land at index -1 of the coefficient list of b^1.
+    p = LaurentPoly2({(-1, 1): 1, (2, 1): 3, (0, 0): 5})
+    with pytest.raises(LaurentError):
+        p.coeff_polys(1)

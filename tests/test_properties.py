@@ -136,3 +136,10 @@ def test_parse_print_round_trip_suite(p, names):
     assert parse_poly(text, names) == q
     # printing is canonical: a reprint of the reparse is identical
     assert str(parse_poly(text, names)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_laurent_polys, st.sampled_from([0, 1]))
+def test_coeff_polys_round_trip_suite(p, axis):
+    q = p.normalize()
+    assert LaurentPoly2.from_coeff_polys(q.coeff_polys(axis), axis, q.var_names) == q

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from slopesmith.laurent import LaurentPoly2
 from slopesmith.unipoly import (
     UniPoly,
     exact_sqrt,
@@ -116,3 +119,10 @@ def test_irreducible_over_q_one_sided():
     assert irreducible_over_q(UniPoly([5, 3])) is True               # degree 1
     # cyclotomic-like irreducible quartic
     assert irreducible_over_q(UniPoly([1, 1, 1, 1, 1])) is True
+
+
+def test_float_coefficients_refused_by_both_polynomial_types():
+    with pytest.raises(TypeError):
+        UniPoly([0.5])
+    with pytest.raises(TypeError):
+        LaurentPoly2({(0, 0): 0.5})
