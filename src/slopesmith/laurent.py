@@ -22,6 +22,7 @@ identifier, not a product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .unipoly import CoeffLike, UniPoly, as_fraction
@@ -31,6 +32,11 @@ Exponents = tuple[int, int]
 # Exponents past this bound are treated as input errors: they are almost
 # certainly typos and would make dense expansion or printing blow up.
 MAX_EXPONENT = 10**6
+
+# Largest number of terms a parsed power may expand to.  The bound is
+# checked before expanding, so (m+b)^1000000 is refused at once; a power
+# just inside it takes a few seconds of exact arithmetic.
+MAX_POWER_TERMS = 2500
 
 
 class LaurentError(ValueError):
@@ -508,6 +514,10 @@ class _Parser:
             raise ExponentOverflowError(f"exponent {value} out of range")
         if negative:
             exp = -exp
+        elif base.num_terms() > 1 and _power_terms_bound(base, exp) > MAX_POWER_TERMS:
+            raise ExponentOverflowError(
+                f"power {value} expands past {MAX_POWER_TERMS} terms"
+            )
         try:
             return base**exp
         except LaurentError as err:
@@ -543,6 +553,15 @@ class _Parser:
             else "unexpected end of input",
             pos,
         )
+
+
+def _power_terms_bound(base: LaurentPoly2, exp: int) -> int:
+    """Upper bound on the terms of base**exp: the lattice points of the
+    exponent box scaled by exp, and the multisets of exp base terms."""
+    lo_m, hi_m = base.exponent_range(0)
+    lo_b, hi_b = base.exponent_range(1)
+    box = (exp * (hi_m - lo_m) + 1) * (exp * (hi_b - lo_b) + 1)
+    return min(box, comb(exp + base.num_terms() - 1, exp))
 
 
 def parse_poly(text: str, var_names: tuple[str, str] = ("m", "b")) -> LaurentPoly2:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly2
-from .unipoly import UniPoly, poly_gcd, x_pow_minus_one
+from .unipoly import UniPoly, _prime_factors, poly_gcd, x_pow_minus_one
 
 Point = tuple[int, int]
 
@@ -219,12 +219,28 @@ def edge_polynomial(poly: LaurentPoly2, edge: Edge) -> UniPoly:
     return UniPoly([poly.coeff(pt) for pt in edge.lattice_points()])
 
 
+def _totient(n: int) -> int:
+    """Euler's phi by trial division (unity_order asks only for n <= 2 deg^2)."""
+    phi = n
+    for q in _prime_factors(n):
+        phi -= phi // q
+    return phi
+
+
 def unity_order(p: UniPoly, bound: int = 120) -> list[int]:
     """Orders n <= bound at which p shares a factor with x^n - 1.
 
     Each factor is reported at its minimal order only: a detected common
-    factor is divided out before larger n are tried.  Empty list means no
-    root of unity of order up to the bound divides p.
+    factor is divided out before larger n are tried, so n is reported
+    exactly when the cyclotomic polynomial of order n divides p.  Empty
+    list means no root of unity of order up to the bound divides p.
+
+    The scan is complete for every order <= bound, yet its work depends on
+    deg p only.  A root of order n has degree phi(n) over the rationals,
+    and phi(n) >= sqrt(n/2), so only the n with phi(n) <= deg p, all of
+    them <= 2 deg^2, can match; for the other n the gcd is trivial and is
+    skipped.  The remaining part keeps every undetected root (its
+    cyclotomic factor still divides it), so its degree bounds the scan.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -233,8 +249,11 @@ def unity_order(p: UniPoly, bound: int = 120) -> list[int]:
     work, _ = p.shift_down()
     orders: list[int] = []
     for n in range(1, bound + 1):
-        if work.degree() < 1:
+        deg = work.degree()
+        if n > 2 * deg * deg:
             break
+        if _totient(n) > deg:
+            continue
         g = poly_gcd(work, x_pow_minus_one(n))
         if g.degree() >= 1:
             orders.append(n)

@@ -517,14 +517,14 @@ def _numeric_witnesses(curve, num, den) -> tuple[str, ...]:
 # -- verdict pipelines -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceStep:
     step: str
     rule: str
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionReport:
     pipeline: str
     inputs: dict

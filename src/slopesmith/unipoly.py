@@ -8,10 +8,19 @@ low degree first with trailing zeros trimmed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Collection, Iterable, Union
 
 CoeffLike = Union[int, str, Fraction]
+
+# Largest trial divisor rational_roots may try: a constant or leading
+# coefficient past its square is refused instead of being scanned for
+# minutes (x^2 + 10^24 + 7 would need 10^12 trial divisions).
+MAX_TRIAL_DIVISOR = 10**6
+
+
+class DivisorBudgetError(ValueError):
+    """An integer too large to enumerate its divisors by trial division."""
 
 
 def as_fraction(value: CoeffLike) -> Fraction:
@@ -252,8 +261,6 @@ def exact_sqrt(p: UniPoly) -> UniPoly | None:
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -263,7 +270,8 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 
     Roots at x = 0 are dropped: callers work modulo monomial units, where
     a power of x is invertible.  Uses the rational root test on the
-    integer-primitive part.
+    integer-primitive part; raises DivisorBudgetError when the square root
+    of its constant or leading coefficient exceeds MAX_TRIAL_DIVISOR.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -284,6 +292,10 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
+    if isqrt(n) > MAX_TRIAL_DIVISOR:
+        raise DivisorBudgetError(
+            f"{n} needs more than {MAX_TRIAL_DIVISOR} trial divisions to factor"
+        )
     out = []
     d = 1
     while d * d <= n:

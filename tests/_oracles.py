@@ -8,6 +8,7 @@ discriminant analysis) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -163,3 +164,27 @@ def is_parallelogram(vertices) -> bool:
     d02 = (v[1][0] - v[0][0], v[1][1] - v[0][1])
     d13 = (v[2][0] - v[3][0], v[2][1] - v[3][1])
     return d02 == d13
+
+
+_X = sp.Symbol("x")
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> sp.Poly:
+    return sp.Poly(sp.cyclotomic_poly(n, _X), _X, domain="QQ")
+
+
+def cyclotomic_coeffs(n: int) -> list[int]:
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
+    return [int(c) for c in reversed(_cyclotomic(n).all_coeffs())]
+
+
+def unity_orders_oracle(p, bound: int) -> list[int]:
+    """The n <= bound whose cyclotomic polynomial divides p (a UniPoly).
+
+    One exact sympy division per n, with no degree pruning: these are the
+    orders of the roots of unity among the roots of p.
+    """
+    coeffs = [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    poly = sp.Poly(coeffs, _X, domain="QQ")
+    return [n for n in range(1, bound + 1) if poly.rem(_cyclotomic(n)).is_zero]

@@ -79,6 +79,13 @@ def test_obstruct_cyclic_contradiction_exit_three(capsys):
     assert "not a root of unity" in out
 
 
+def test_obstruct_cyclic_huge_bound_is_cheap(capsys):
+    # The scan stops at twice the squared degree, whatever the bound.
+    code, out, _ = run(capsys, "obstruct", "cyclic", "--c", "2", "--bound", "1000000000")
+    assert code == 3
+    assert "none detected (bound=1000000000)" in out
+
+
 def test_obstruct_cyclic_unit_ratio_consistent(capsys):
     code, out, _ = run(capsys, "obstruct", "cyclic", "--c", "1")
     assert code == 0

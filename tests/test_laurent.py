@@ -1,5 +1,6 @@
 """Unit tests for the two-variable Laurent polynomial ring."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from slopesmith import (
     LaurentError,
     LaurentPoly2,
     PolyParseError,
+    list_corpus,
+    load_corpus_entry,
     parse_poly,
+    prescribed_slope_curve,
 )
 
 
@@ -181,6 +185,25 @@ def test_exponent_overflow_guard():
     big = LaurentPoly2.monomial(1, (10**6, 0))
     with pytest.raises(ExponentOverflowError):
         _ = big * big
+
+
+def test_parse_refuses_power_expansion_past_term_budget():
+    start = time.perf_counter()
+    for text in ("(m+b)^1000000", "(m*b+m+b+1)^50", "((m+b)^40)^40"):
+        with pytest.raises(ExponentOverflowError):
+            parse_poly(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_expands_powers_within_term_budget():
+    assert parse_poly("(m+b)^60").num_terms() == 61
+    # Sparse: the box bound is 121^2 terms, but a binomial power has 61.
+    assert parse_poly("(b^2*m^2-1)^60").num_terms() == 61
+    text = "m^13*(l^2-1)^13*(l^2*m^2-1)^16 - 3*l^29*(m^2-1)^29"
+    assert parse_poly(text, ("m", "l")) == prescribed_slope_curve(13, 29, 3)
+    for name in list_corpus():
+        entry = load_corpus_entry(name)
+        assert parse_poly(str(entry.poly), entry.poly.var_names) == entry.poly
 
 
 def test_equality_and_hash_ignore_term_order():

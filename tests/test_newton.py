@@ -20,6 +20,7 @@ from slopesmith import (
     prescribed_slope_curve,
     unity_order,
 )
+from slopesmith.unipoly import poly_gcd
 from _oracles import brute_hull, is_parallelogram, shoelace
 
 
@@ -143,6 +144,22 @@ def test_unity_order_respects_bound():
     p = UniPoly([1, -1, 1])
     assert unity_order(p, bound=5) == []
     assert unity_order(p, bound=6) == [6]
+
+
+def test_unity_order_work_depends_on_degree_not_bound(monkeypatch):
+    from slopesmith import newton
+
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(b.degree())
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(newton, "poly_gcd", counting_gcd)
+    # A linear p can only have a root of order 1 or 2 (phi(n) <= 1).
+    assert unity_order(UniPoly([-2, 1]), bound=10**6) == []
+    assert len(calls) <= 2
+    assert unity_order(UniPoly([1, -1, 1]), bound=10**6) == [6]
 
 
 def test_minimality_two_slope_parallelogram():

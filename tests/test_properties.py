@@ -1,5 +1,6 @@
 """Property-based suites: ring axioms, polygon additivity, norm axioms,
-and the parser round trip.  Each suite runs at least 200 generated cases."""
+the parser round trip and the root-of-unity scan.  Each suite runs at
+least 200 generated cases."""
 
 import math
 from fractions import Fraction
@@ -10,11 +11,18 @@ from slopesmith import (
     LaurentPoly2,
     PeripheralClass,
     Seminorm,
+    UniPoly,
     eval_norm,
     newton_polygon,
     parse_poly,
+    unity_order,
 )
-from _oracles import brute_hull, minkowski_sum_hull
+from _oracles import (
+    brute_hull,
+    cyclotomic_coeffs,
+    minkowski_sum_hull,
+    unity_orders_oracle,
+)
 
 nonzero_coeffs = st.builds(
     Fraction,
@@ -143,3 +151,34 @@ def test_parse_print_round_trip_suite(p, names):
 def test_coeff_polys_round_trip_suite(p, axis):
     q = p.normalize()
     assert LaurentPoly2.from_coeff_polys(q.coeff_polys(axis), axis, q.var_names) == q
+
+
+# Products of cyclotomic polynomials of order <= 12 with multiplicities,
+# times random integer polynomials, with a power of x in front.
+cyclotomic_products = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2)),
+    max_size=3,
+)
+integer_factors = st.lists(
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=2).flatmap(
+        lambda low: st.integers(min_value=1, max_value=3).map(lambda lead: low + [lead])
+    ),
+    max_size=2,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cyclotomic_products,
+    integer_factors,
+    st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=200),
+)
+def test_unity_order_matches_cyclotomic_division_suite(cyclos, factors, scale, shift, bound):
+    p = UniPoly([0] * shift + [scale])
+    for n, mult in cyclos:
+        p = p * UniPoly(cyclotomic_coeffs(n)) ** mult
+    for coeffs in factors:
+        p = p * UniPoly(coeffs)
+    assert unity_order(p, bound) == unity_orders_oracle(p, bound)

@@ -1,11 +1,14 @@
 """Unit tests for dense univariate rational polynomials."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from slopesmith.laurent import LaurentPoly2
 from slopesmith.unipoly import (
+    MAX_TRIAL_DIVISOR,
+    DivisorBudgetError,
     UniPoly,
     exact_sqrt,
     irreducible_over_q,
@@ -110,6 +113,18 @@ def test_rational_roots_drop_zero():
     # zero roots are unit-monomial artifacts and are excluded by contract
     p = UniPoly([0, -2, 0, 2])  # 2x(x^2 - 1)
     assert set(rational_roots(p)) == {Fraction(1), Fraction(-1)}
+
+
+def test_rational_roots_refuses_huge_coefficients_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DivisorBudgetError):
+        rational_roots(UniPoly([10**24 + 7, 0, 1]))        # x^2 + 10^24 + 7
+    with pytest.raises(DivisorBudgetError):
+        rational_roots(UniPoly([1, 10**24 + 7]))
+    assert time.perf_counter() - start < 1.0
+    # Just inside the budget the scan still runs: 2x - b has the root b/2.
+    b = MAX_TRIAL_DIVISOR**2
+    assert rational_roots(UniPoly([-b, 2])) == [Fraction(b, 2)]
 
 
 def test_irreducible_over_q_one_sided():
