@@ -283,11 +283,11 @@ def _run_eta(args) -> tuple[str, dict, int]:
     r.field("curve", "curve", entry.name)
     r.field("branch", "branch", args.branch, f"{args.branch} of {len(roots)}")
     r.field("n_branches", None, len(roots))
-    r.field("step", None, args.step)
-    r.field("residual_tol", None, args.tol)
+    r.field("step", "step", args.step)
+    r.field("residual_tol", "residual tolerance", args.tol)
     samples = [{"m": m, "b": b, "residual": e} for (m, b), e in zip(path.samples, path.residuals)]
     r.field("samples", "samples", samples, str(len(samples)))
-    r.field(None, "max residual", max(path.residuals))
+    r.field("max_residual", "max residual", max(path.residuals))
     r.field("integral", "integral", integral)
     r.field("volume_change", "volume change (-1/2 * integral)", -0.5 * integral)
     return r.result()

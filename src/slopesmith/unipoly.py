@@ -277,17 +277,20 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         raise ValueError("zero polynomial has every root")
     q, _ = p.shift_down()
     prim, _ = q.integer_primitive()
-    roots: list[Fraction] = []
     a0 = int(prim.coeffs[0])
     an = int(prim.leading())
     if a0 == 0:
         return []
-    for r in _divisors(abs(a0)):
-        for s in _divisors(abs(an)):
-            for sign in (1, -1):
-                cand = Fraction(sign * r, s)
-                if cand not in roots and prim.evaluate(cand) == 0:
-                    roots.append(cand)
+    numerators, denominators = _divisors(abs(a0)), _divisors(abs(an))
+    roots: set[Fraction] = set()
+    for r in numerators:
+        for s in denominators:
+            # r/s with a common factor g is (r/g)/(s/g), a pair tried as well.
+            if int_gcd(r, s) > 1:
+                continue
+            for cand in (Fraction(r, s), Fraction(-r, s)):
+                if prim.evaluate(cand) == 0:
+                    roots.add(cand)
     return sorted(roots)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch with different
 algorithms than the library (gift wrapping instead of monotone chain,
 dilogarithm instead of a series, divisor enumeration instead of
-discriminant analysis) so that agreement is meaningful.
+discriminant analysis, Schlafli's formula instead of quadrature) so that
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -89,6 +90,26 @@ def lobachevsky_oracle(theta: float) -> float:
 
 def ideal_tet_volume_oracle(a: float, b: float, c: float) -> float:
     return lobachevsky_oracle(a) + lobachevsky_oracle(b) + lobachevsky_oracle(c)
+
+
+def schlafli_regular_volume(side: float) -> float:
+    """Volume of the regular compact tetrahedron with all edges = side.
+
+    Schlafli's formula dV = -1/2 sum_e l_e dtheta_e along the regular family,
+    where all six edges have length l and dihedral angle theta, integrated
+    from the ideal end (theta = pi/3, V = 3 Lob(pi/3), Lob the Lobachevsky
+    function): V(alpha) = 3 Lob(pi/3) - 3 int_{pi/3}^{alpha} l(theta) dtheta, with
+    cosh l = cos theta / (1 - 2 cos theta) and cos alpha = cosh s / (1 + 2 cosh s).
+    """
+    with mp.workdps(30):
+        ideal = 1.5 * mp.clsin(2, 2 * mp.pi / 3)
+        ch = mp.cosh(mp.mpf(side))
+        alpha = mp.acos(ch / (1 + 2 * ch))
+
+        def edge(theta):
+            return mp.acosh(mp.cos(theta) / (1 - 2 * mp.cos(theta)))
+
+        return float(mp.re(ideal - 3 * mp.quad(edge, [mp.pi / 3, alpha])))
 
 
 def seminorm_oracle(functionals, point) -> Fraction:

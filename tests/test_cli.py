@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from slopesmith.cli import main
+from slopesmith.reports import format_value
 
 
 def run(capsys, *argv):
@@ -161,6 +162,20 @@ def test_volume_tet_near_ideal_side_exits_two(capsys):
     assert "regular tetrahedron with side 27.5" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "tet", "--side", "2", "--tol", "nan"],
+        ["volume", "decay", "--from", "4", "--to", "6", "--tol", "nan"],
+    ],
+    ids=["tet", "decay"],
+)
+def test_volume_nan_tolerance_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "tolerance must be positive" in err
+
+
 def test_volume_tet_needs_exactly_one_shape(capsys):
     code, _, err = run(capsys, "volume", "tet")
     assert code == 2
@@ -220,6 +235,33 @@ def test_volume_eta_explicit_path(capsys):
     )
     assert code == 0
     assert "volume change" in out
+
+
+def test_volume_eta_text_carries_every_json_field(tmp_path, capsys):
+    base = tmp_path / "eta"
+    code, out, _ = run(
+        capsys, "volume", "eta", "--poly", "fig8-knot", "--m-path", "1.15,1.25+0.1j",
+        "--step", "0.02", "--out", str(base),
+    )
+    assert code == 0
+    payload = json.loads(base.with_suffix(".json").read_text())
+    lines = out.splitlines()
+    assert lines[0] == "volume-form line integral"
+    # The samples are listed in the JSON and counted in the text.
+    assert f"samples: {len(payload['samples'])}" in lines
+    assert f"branch: {payload['branch']} of {payload['n_branches']}" in lines
+    labels = {
+        "curve": "curve",
+        "step": "step",
+        "residual_tol": "residual tolerance",
+        "max_residual": "max residual",
+        "integral": "integral",
+        "volume_change": "volume change (-1/2 * integral)",
+    }
+    covered = {"schema_version", "command", "samples", "branch", "n_branches"}
+    assert set(payload) == covered | set(labels)
+    for key, label in labels.items():
+        assert f"{label}: {format_value(payload[key])}" in lines
 
 
 @pytest.mark.parametrize(

@@ -28,8 +28,16 @@ from slopesmith import (
     regular_tet,
     volume_defect_report,
 )
-from slopesmith.hyperbolic import _ZETA_EVEN_OVER_PI
-from _oracles import lobachevsky_oracle
+from slopesmith.hyperbolic import (
+    _BARY_HI,
+    _BARY_LO,
+    _W_HI,
+    _W_LO,
+    _ZETA_EVEN_OVER_PI,
+    _leaf_estimates,
+    _octasect,
+)
+from _oracles import lobachevsky_oracle, schlafli_regular_volume
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -254,6 +262,43 @@ def test_klein_volume_monotone_in_side():
     vols = [klein_volume(regular_tet(s), 1e-6) for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(a < b for a, b in zip(vols, vols[1:]))
     assert vols[-1] < REGULAR_IDEAL_VOLUME
+
+
+def _per_leaf_estimates(corners, vols):
+    """Loop reference for _leaf_estimates: the nodes themselves, leaf by leaf."""
+    hi, lo = np.empty(len(vols)), np.empty(len(vols))
+    for i, (leaf, vol) in enumerate(zip(corners, vols)):
+        for bary, weights, out in ((_BARY_HI, _W_HI, hi), (_BARY_LO, _W_LO, lo)):
+            nodes = bary @ leaf
+            dens = 1.0 / (1.0 - np.sum(nodes * nodes, axis=1)) ** 2
+            out[i] = vol * float(weights @ dens)
+    return hi, lo
+
+
+@pytest.mark.parametrize("tet", [ideal_regular_tet(), regular_tet(6.0)], ids=["ideal", "side6"])
+def test_leaf_estimates_match_per_leaf_reference(tet):
+    corners = tet.vertices[None, :, :].copy()
+    for _ in range(3):
+        corners = _octasect(corners)
+    vols = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / 6.0
+    for got, want in zip(_leaf_estimates(corners, vols), _per_leaf_estimates(corners, vols)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+SCHLAFLI_GRID = [(1e-6, 1.0 + 0.5 * k) for k in range(19)] + [
+    (1e-8, 1.0 + 0.5 * k) for k in range(6)
+]
+
+
+@pytest.mark.parametrize("tol, side", SCHLAFLI_GRID)
+def test_klein_volume_meets_tolerance_against_schlafli(tol, side):
+    assert abs(klein_volume(regular_tet(side), tol) - schlafli_regular_volume(side)) <= tol
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_klein_volume_refuses_tolerance_not_positive(tol):
+    with pytest.raises(HyperbolicError, match="tolerance must be positive"):
+        klein_volume(regular_tet(2.0), tol, max_leaves=20000)
 
 
 def test_klein_volume_budget_exhaustion_raises():
