@@ -13,7 +13,8 @@ Every command prints a text report to stdout; --out BASE additionally
 writes BASE.txt and BASE.json with the same content.  Each handler records
 every field once, through ``_Report``, which writes it to both forms.
 Exit codes: 0 for success/consistent, 3 for an established contradiction,
-2 for errors and inconclusive runs.
+2 for errors and inconclusive runs.  The volume handlers import the
+numerical modules themselves, so the exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +28,6 @@ import sys
 from fractions import Fraction
 
 from .corpus import resolve_poly_source
-from .hyperbolic import (
-    REGULAR_IDEAL_VOLUME,
-    ideal_regular_tet,
-    klein_volume,
-    lobachevsky,
-    regular_tet,
-    volume_defect_report,
-)
 from .laurent import LaurentPoly2
 from .newton import axis_diameter, boundary_slopes, newton_polygon
 from .obstruction import cyclic_verdict, detect_symmetries, diameter_verdict
@@ -47,7 +40,6 @@ from .seminorm import (
     seminorm_from_polygon,
     slope_set_diameter,
 )
-from .tracking import fiber_roots, integrate_volume_form, track_curve
 
 _VERDICT_EXIT = {"consistent": 0, "contradiction-established": 3, "inconclusive": 2}
 
@@ -196,6 +188,8 @@ def _run_obstruct(args) -> tuple[str, dict, int]:
 
 
 def _run_lobachevsky(args) -> tuple[str, dict, int]:
+    from .hyperbolic import lobachevsky
+
     theta = _parse_angle(args.theta)
     r = _Report("volume-lobachevsky", "angle function")
     r.field("theta", "theta", theta)
@@ -204,6 +198,8 @@ def _run_lobachevsky(args) -> tuple[str, dict, int]:
 
 
 def _run_tet(args) -> tuple[str, dict, int]:
+    from .hyperbolic import REGULAR_IDEAL_VOLUME, ideal_regular_tet, klein_volume, regular_tet
+
     if args.ideal_regular == (args.side is not None):
         raise ValueError("give exactly one of --side or --ideal-regular")
     if args.ideal_regular:
@@ -227,6 +223,8 @@ _MAX_DECAY_SIDES = 1000
 
 
 def _run_decay(args) -> tuple[str, dict, int]:
+    from .hyperbolic import volume_defect_report
+
     if args.to_side < args.from_side:
         raise ValueError("--to must not be below --from")
     if not args.step > 0:
@@ -255,6 +253,8 @@ def _parse_waypoints(text: str) -> list[complex]:
 
 
 def _run_eta(args) -> tuple[str, dict, int]:
+    from .tracking import fiber_roots, integrate_volume_form, track_curve
+
     entry = resolve_poly_source(args.poly)
     poly = entry.poly
     if (args.loop is None) == (args.m_path is None):

@@ -73,7 +73,10 @@ def lobachevsky(theta: float) -> float:
     whose terms shrink at least geometrically (ratio <= 1/4).
     Absolute error stays below 1e-12.
     """
-    r = math.remainder(float(theta), math.pi)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise HyperbolicError(f"theta must be finite, got {theta}")
+    r = math.remainder(theta, math.pi)
     if r == 0.0:
         return 0.0
     sign, x = (1.0, r) if r > 0 else (-1.0, -r)

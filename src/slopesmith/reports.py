@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,15 +42,13 @@ def to_jsonable(value):
             f.name: to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    try:
-        import numpy as np
-
+    # A numpy value exists only once numpy is loaded; never load it here.
+    np = sys.modules.get("numpy")
+    if np is not None:
         if isinstance(value, np.ndarray):
             return [to_jsonable(v) for v in value.tolist()]
         if isinstance(value, np.generic):
             return to_jsonable(value.item())
-    except ImportError:  # pragma: no cover
-        pass
     return str(value)
 
 

@@ -121,7 +121,10 @@ def _polish(coeffs: np.ndarray, b: complex) -> complex:
 
 def fiber_roots(poly: LaurentPoly2, m: complex) -> list[complex]:
     """Second-coordinate values over a first coordinate, sorted by (re, im)."""
-    coeffs, roots = _solve_fiber(poly.normalize().coeff_polys(1), complex(m))
+    m = complex(m)
+    if not cmath.isfinite(m):
+        raise TrackingError(f"first coordinate must be finite, got {m}")
+    coeffs, roots = _solve_fiber(poly.normalize().coeff_polys(1), m)
     polished = [_polish(coeffs, complex(r)) for r in roots]
     return sorted(polished, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
@@ -146,6 +149,8 @@ def track_curve(
     waypoints = [complex(w) for w in m_path]
     if not waypoints:
         raise TrackingError("empty path")
+    if not all(cmath.isfinite(z) for z in (a0, b0, *waypoints)):
+        raise TrackingError("start point and waypoints must be finite")
     if abs(waypoints[0] - a0) > 1e-12 * (1.0 + abs(a0)):
         raise TrackingError("path must begin at the start point's first coordinate")
     first_residual = _relative_residual(poly, (a0, b0))

@@ -134,6 +134,14 @@ def test_volume_lobachevsky_bad_angle_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_volume_lobachevsky_non_finite_angle_exits_two(capsys, theta):
+    code, out, err = run(capsys, "volume", "lobachevsky", f"--theta={theta}")
+    assert code == 2
+    assert out == ""
+    assert "theta must be finite" in err
+
+
 def test_volume_tet_ideal_regular(capsys):
     code, out, _ = run(capsys, "volume", "tet", "--ideal-regular", "--tol", "1e-4")
     assert code == 0
@@ -235,6 +243,14 @@ def test_volume_eta_explicit_path(capsys):
     )
     assert code == 0
     assert "volume change" in out
+
+
+@pytest.mark.parametrize("m_path", ["1.2,nan", "1.2,1.3+infj", "nan,1.2"])
+def test_volume_eta_non_finite_waypoint_exits_two(capsys, m_path):
+    code, out, err = run(capsys, "volume", "eta", "--poly", "fig8-knot", "--m-path", m_path)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_volume_eta_text_carries_every_json_field(tmp_path, capsys):

@@ -84,6 +84,63 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# Exact commands and their exit codes; none of them may load numpy.
+_EXACT_RUNS = (
+    (["analyze", "--poly", "fig8-sister"], 0),
+    (["analyze", "--poly", "fig8-knot"], 0),
+    (["analyze", "--poly", "fig8-knot", "--vars", "m,l"], 0),
+    (["obstruct", "cyclic", "--c=2"], 3),
+    (["obstruct", "diameter", "--p", "1", "--q", "3"], 3),
+    (["analyze", "--poly", "no-such-curve"], 2),
+    (["obstruct", "diameter", "--p", "2", "--q", "4"], 2),
+)
+
+
+def test_exact_half_does_not_load_numpy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"""
+import contextlib, io, os, sys
+import slopesmith
+from slopesmith import cli
+for k, (argv, want) in enumerate({_EXACT_RUNS!r}):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        got = cli.main(argv + ["--out", os.path.join({str(tmp_path)!r}, f"r{{k}}")])
+    assert got == want, (argv, got)
+print("numpy" in sys.modules)
+volume = slopesmith.klein_volume
+assert volume is slopesmith.hyperbolic.klein_volume
+print("numpy" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+    assert len(list(tmp_path.glob("r*.json"))) == 5  # the two refusals write nothing
+
+
+def test_package_surface_resolves_every_public_name():
+    import slopesmith
+
+    for name in slopesmith.__all__:
+        assert getattr(slopesmith, name) is not None
+    namespace: dict = {}
+    exec("from slopesmith import *", namespace)
+    assert set(slopesmith.__all__) <= set(namespace)
+    assert set(slopesmith.__all__) <= set(dir(slopesmith))
+    assert slopesmith.track_curve is slopesmith.tracking.track_curve
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(slopesmith, "no_such_name")
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_lobachevsky_refuses_non_finite_theta(theta):
+    with pytest.raises(HyperbolicError, match="theta must be finite"):
+        lobachevsky(theta)
+
+
 def test_lobachevsky_is_odd_and_pi_periodic():
     for theta in (0.3, 0.7, 1.1, 2.9):
         assert abs(lobachevsky(-theta) + lobachevsky(theta)) < 1e-14

@@ -65,6 +65,28 @@ def test_track_rejects_start_off_fiber():
         track_curve(_fig8(), (1.2, 0.5 + 0.5j), [1.2, 1.3])
 
 
+@pytest.mark.parametrize(
+    "start, path",
+    [
+        ((1.2, complex("nan")), [1.2, 1.3]),
+        ((1.2, None), [1.2, float("nan")]),
+        ((1.2, None), [1.2, 1.25, complex(1.3, float("inf"))]),
+    ],
+)
+def test_track_refuses_non_finite_points_before_stepping(start, path):
+    poly = _fig8()
+    if start[1] is None:
+        start = (start[0], fiber_roots(poly, start[0])[0])
+    with pytest.raises(TrackingError, match="must be finite"):
+        track_curve(poly, start, path)
+
+
+@pytest.mark.parametrize("m", [float("nan"), complex(1.2, float("inf"))])
+def test_fiber_roots_refuses_non_finite_coordinate(m):
+    with pytest.raises(TrackingError, match="must be finite"):
+        fiber_roots(_fig8(), m)
+
+
 def test_track_closed_loop_returns_to_start():
     poly = _fig8()
     b0 = fiber_roots(poly, 1.2)[0]
