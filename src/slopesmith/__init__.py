@@ -8,9 +8,10 @@ quadrature, curve-branch tracking, and line integration of the volume
 form.  See the command-line entry point ``slopesmith`` for the report
 front end.
 
-Only the numerical half needs numpy.  Its names (those of ``hyperbolic``
-and ``tracking``) resolve on first use, so ``import slopesmith`` and the
-exact half run without loading numpy until a numerical name is touched.
+``import slopesmith`` imports no submodule.  Each public name resolves on
+first use by importing the submodule that defines it, so the exact half
+runs without loading numpy, and the numerical half loads only the exact
+modules it calls.
 """
 
 from importlib import import_module
@@ -61,20 +62,13 @@ _EXPORTS = {
         "load_poly_file", "resolve_poly_source", "CorpusError",
     ),
 }
-_NUMERICAL = ("hyperbolic", "tracking")
 
 __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
-_LAZY = {name: module for module in _NUMERICAL for name in _EXPORTS[module]}
-
-for _module, _names in _EXPORTS.items():
-    if _module not in _NUMERICAL:
-        _loaded = import_module(f".{_module}", __name__)
-        globals().update((name, getattr(_loaded, name)) for name in _names)
-del _module, _names, _loaded
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name):
-    """Import a numerical name's submodule on first use and keep the value."""
+    """Import a public name's submodule on first use and keep the value."""
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,8 +13,10 @@ Every command prints a text report to stdout; --out BASE additionally
 writes BASE.txt and BASE.json with the same content.  Each handler records
 every field once, through ``_Report``, which writes it to both forms.
 Exit codes: 0 for success/consistent, 3 for an established contradiction,
-2 for errors and inconclusive runs.  The volume handlers import the
-numerical modules themselves, so the exact commands never load numpy.
+2 for errors and inconclusive runs.  Each handler checks its flags and then
+imports the submodules it uses, so a command loads only what it runs: the
+exact commands never load numpy, and ``volume lobachevsky|tet|decay`` load
+none of the exact half.
 """
 
 from __future__ import annotations
@@ -27,19 +29,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .corpus import resolve_poly_source
-from .laurent import LaurentPoly2
-from .newton import axis_diameter, boundary_slopes, newton_polygon
-from .obstruction import cyclic_verdict, detect_symmetries, diameter_verdict
 from .reports import format_table, format_value, write_report
-from .seminorm import (
-    FundamentalPolygonError,
-    PeripheralClass,
-    ball_polygon,
-    fundamental_polygon_check,
-    seminorm_from_polygon,
-    slope_set_diameter,
-)
 
 _VERDICT_EXIT = {"consistent": 0, "contradiction-established": 3, "inconclusive": 2}
 
@@ -52,6 +42,8 @@ def _parse_angle(text: str) -> float:
         num = match.group(1)
         coeff = float(num) if num not in ("", "+", "-") else float(num + "1")
         den = float(match.group(2)) if match.group(2) else 1.0
+        if den == 0:
+            raise ValueError(f"angle {text} divides by zero")
         return coeff * math.pi / den
     return float(t)
 
@@ -86,6 +78,9 @@ class _Report:
 
 
 def _load_entry(args):
+    from .corpus import resolve_poly_source
+    from .laurent import LaurentPoly2
+
     entry = resolve_poly_source(args.poly)
     if getattr(args, "vars", None):
         labels = tuple(args.vars.split(","))
@@ -101,6 +96,9 @@ def _load_entry(args):
 
 
 def _run_analyze(args) -> tuple[str, dict, int]:
+    from .newton import newton_polygon
+    from .obstruction import detect_symmetries
+
     entry = _load_entry(args)
     poly = entry.poly
     r = _Report("analyze")
@@ -120,6 +118,16 @@ def _run_analyze(args) -> tuple[str, dict, int]:
 
 def _analyze_slopes(r: _Report, polygon) -> None:
     """Slope, seminorm and fundamental-domain fields, or the degenerate mark."""
+    from .newton import axis_diameter, boundary_slopes
+    from .seminorm import (
+        FundamentalPolygonError,
+        PeripheralClass,
+        ball_polygon,
+        fundamental_polygon_check,
+        seminorm_from_polygon,
+        slope_set_diameter,
+    )
+
     if polygon.degenerate:
         r.field("degenerate", None, True)
         r.line("newton polygon is degenerate; no slope analysis")
@@ -164,6 +172,8 @@ def _analyze_slopes(r: _Report, polygon) -> None:
 
 
 def _run_obstruct(args) -> tuple[str, dict, int]:
+    from .obstruction import cyclic_verdict, diameter_verdict
+
     if args.pipeline == "cyclic":
         try:
             c = Fraction(args.c)
@@ -188,9 +198,9 @@ def _run_obstruct(args) -> tuple[str, dict, int]:
 
 
 def _run_lobachevsky(args) -> tuple[str, dict, int]:
+    theta = _parse_angle(args.theta)
     from .hyperbolic import lobachevsky
 
-    theta = _parse_angle(args.theta)
     r = _Report("volume-lobachevsky", "angle function")
     r.field("theta", "theta", theta)
     r.field("value", "value", lobachevsky(theta))
@@ -198,10 +208,10 @@ def _run_lobachevsky(args) -> tuple[str, dict, int]:
 
 
 def _run_tet(args) -> tuple[str, dict, int]:
-    from .hyperbolic import REGULAR_IDEAL_VOLUME, ideal_regular_tet, klein_volume, regular_tet
-
     if args.ideal_regular == (args.side is not None):
         raise ValueError("give exactly one of --side or --ideal-regular")
+    from .hyperbolic import REGULAR_IDEAL_VOLUME, ideal_regular_tet, klein_volume, regular_tet
+
     if args.ideal_regular:
         tet = ideal_regular_tet()
         label = "ideal regular tetrahedron"
@@ -223,8 +233,6 @@ _MAX_DECAY_SIDES = 1000
 
 
 def _run_decay(args) -> tuple[str, dict, int]:
-    from .hyperbolic import volume_defect_report
-
     if args.to_side < args.from_side:
         raise ValueError("--to must not be below --from")
     if not args.step > 0:
@@ -233,6 +241,8 @@ def _run_decay(args) -> tuple[str, dict, int]:
     if not span < _MAX_DECAY_SIDES:
         raise ValueError(f"--from, --to and --step ask for more than {_MAX_DECAY_SIDES} sides")
     sides = [round(args.from_side + k * args.step, 12) for k in range(int(span) + 1)]
+    from .hyperbolic import volume_defect_report
+
     report = volume_defect_report(sides, tol=args.tol)
     r = _Report("volume-decay", "volume defect decay")
     r.field("tol", "quadrature tolerance", args.tol)
@@ -253,7 +263,7 @@ def _parse_waypoints(text: str) -> list[complex]:
 
 
 def _run_eta(args) -> tuple[str, dict, int]:
-    from .tracking import fiber_roots, integrate_volume_form, track_curve
+    from .corpus import resolve_poly_source
 
     entry = resolve_poly_source(args.poly)
     poly = entry.poly
@@ -271,6 +281,8 @@ def _run_eta(args) -> tuple[str, dict, int]:
         waypoints = _parse_waypoints(args.m_path)
         if len(waypoints) < 2:
             raise ValueError("--m-path needs at least two waypoints")
+    from .tracking import fiber_roots, integrate_volume_form, track_curve
+
     roots = fiber_roots(poly, waypoints[0])
     if not 0 <= args.branch < len(roots):
         raise ValueError(f"--branch must be in [0, {len(roots) - 1}]")

@@ -25,6 +25,12 @@ from .unipoly import (
 )
 
 
+# The diameter pipeline builds prescribed_slope_curve(p, q, 1), whose cost
+# grows faster than q**2 (about 1 s at q = 500, 2 min at 4001); a larger q is
+# refused, not run.
+MAX_DIAMETER_Q = 500
+
+
 class ObstructionError(ValueError):
     pass
 
@@ -633,11 +639,16 @@ def cyclic_verdict(c, bound: int = 120) -> ObstructionReport:
 
 
 def diameter_verdict(p: int, q: int) -> ObstructionReport:
-    """Parity and symmetry screening of a reduced slope pair (-p/q, 2-p/q)."""
+    """Parity and symmetry screening of a reduced slope pair (-p/q, 2-p/q).
+
+    A q above ``MAX_DIAMETER_Q`` is refused with ObstructionError.
+    """
     if not (0 <= p <= q) or q < 1:
         raise ObstructionError(f"need 0 <= p <= q with q >= 1, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ObstructionError(f"p and q must be coprime, got ({p}, {q})")
+    if q > MAX_DIAMETER_Q:
+        raise ObstructionError(f"q = {q} exceeds the budget of {MAX_DIAMETER_Q}")
     inputs = {"p": str(p), "q": str(q)}
     evidence: list[EvidenceStep] = []
 

@@ -119,6 +119,13 @@ def test_obstruct_diameter_invalid_pair_exits_two(capsys):
     assert "error:" in err
 
 
+def test_obstruct_diameter_above_budget_exits_two(capsys):
+    code, out, err = run(capsys, "obstruct", "diameter", "--p", "2", "--q", "4001")
+    assert code == 2
+    assert out == ""
+    assert err == "error: q = 4001 exceeds the budget of 500\n"
+
+
 def test_volume_lobachevsky_accepts_pi_fractions(capsys):
     code, out, _ = run(capsys, "volume", "lobachevsky", "--theta", "pi/3")
     assert code == 0
@@ -132,6 +139,13 @@ def test_volume_lobachevsky_bad_angle_exits_two(capsys):
     code, _, err = run(capsys, "volume", "lobachevsky", "--theta", "bogus")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_volume_lobachevsky_zero_denominator_exits_two(capsys):
+    code, out, err = run(capsys, "volume", "lobachevsky", "--theta", "pi/0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: angle pi/0 divides by zero\n"
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])

@@ -24,6 +24,7 @@ from slopesmith import (
     tangent_at_origin,
     tree_invariants,
 )
+from slopesmith.obstruction import MAX_DIAMETER_Q
 from _oracles import brute_quadratic_reducible
 
 
@@ -276,6 +277,13 @@ def test_diameter_verdict_validation():
         diameter_verdict(2, 4)
     with pytest.raises(ObstructionError):
         diameter_verdict(3, 2)
+
+
+@pytest.mark.parametrize("q", [MAX_DIAMETER_Q + 1, 4001, 10**9 + 1])
+def test_diameter_verdict_refuses_q_above_budget(q):
+    # Without the budget q = 4001 builds its curve for about two minutes.
+    with pytest.raises(ObstructionError, match="budget"):
+        diameter_verdict(2, q)
 
 
 def test_report_to_dict_round_trips_structure():
