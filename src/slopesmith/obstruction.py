@@ -21,7 +21,7 @@ from math import gcd
 from .laurent import LaurentPoly2
 from .newton import unity_order
 from .unipoly import (
-    UniPoly, exact_sqrt, integer_content, irreducible_over_q, poly_gcd, rational_roots
+    UniPoly, exact_sqrt, integer_content, irreducible_over_q, poly_gcd
 )
 
 
@@ -44,7 +44,7 @@ class NonTransverseError(ObstructionError):
 
 
 class UndeterminedRatioError(ObstructionError):
-    """Every probed point kills both numerator and denominator."""
+    """Both trace functions vanish identically on the curve."""
 
 
 # -- curve constructors -------------------------------------------------------
@@ -310,7 +310,7 @@ def detect_symmetries(poly: LaurentPoly2) -> frozenset[str]:
 class RatioReport:
     status: str  # "constant" | "non-constant"
     value: Fraction | None
-    method: str  # "sampled+divisibility" | "symbolic"
+    method: str  # always "symbolic": pseudo-division by the curve
     witnesses: tuple[str, ...] = ()
 
 
@@ -360,11 +360,12 @@ def ratio_constant_check(
 
     ``which`` = "cyclic" compares the squared trace deviations of the two
     variables; "diameter" compares the (p, q)-weighted product against
-    the q-th power of the first variable's deviation.  The verdict is
-    exact either way: a candidate constant found at a rational curve
-    point (or by aligning pseudo-remainders) is verified by divisibility,
-    valid because the curve polynomial is irreducible and coprime to the
-    leading coefficient used in the division.
+    the q-th power of the first variable's deviation.  Both are
+    pseudo-divided by the curve in its main variable, and the ratio is the
+    constant c exactly when the remainders satisfy r_num = c * r_den.  That
+    needs the curve coprime to the leading coefficient it is divided by, so
+    a curve whose coefficients in the main variable share a factor is
+    refused with ObstructionError.
     """
     x = LaurentPoly2.variable(0, curve.var_names)
     y = LaurentPoly2.variable(1, curve.var_names)
@@ -382,25 +383,18 @@ def ratio_constant_check(
     num, den = _joint_clear(num, den)
     curve = curve.normalize()
 
-    candidate, sample_points = _sample_ratio(curve, num, den)
-    if candidate is not None and len(set(r for _, r in sample_points)) > 1:
-        (pt1, r1), (pt2, r2) = _two_distinct(sample_points)
-        return RatioReport(
-            "non-constant",
-            None,
-            "sampled+divisibility",
-            (f"ratio {r1} at {pt1}", f"ratio {r2} at {pt2}"),
-        )
-
-    # Pseudo-division route: divide in the variable where the curve has
-    # positive degree; remainders of lower degree vanish mod the curve
-    # only when identically zero.
+    # Divide in the variable where the curve has positive degree; remainders
+    # of lower degree vanish mod the curve only when identically zero.
     main_axis = 1 if max(j for _, j in curve.terms) > 0 else 0
     a_map = curve.coeff_polys(main_axis)
-    u_map = num.coeff_polys(main_axis)
-    v_map = den.coeff_polys(main_axis)
-    r_u, s_u = _pseudo_remainder(u_map, a_map)
-    r_v, s_v = _pseudo_remainder(v_map, a_map)
+    content, _ = _content_split(a_map)
+    if content.degree() >= 1:
+        raise ObstructionError(
+            f"the curve's coefficients in {curve.var_names[main_axis]} share the "
+            f"factor {content}; split off that component first"
+        )
+    r_u, s_u = _pseudo_remainder(num.coeff_polys(main_axis), a_map)
+    r_v, s_v = _pseudo_remainder(den.coeff_polys(main_axis), a_map)
     lc = a_map[max(a_map)]
     s = max(s_u, s_v)
     r_u = {k: v * lc ** (s - s_u) for k, v in r_u.items()}
@@ -416,108 +410,18 @@ def ratio_constant_check(
             ("denominator vanishes on the curve, numerator does not",),
         )
 
-    if candidate is None:
-        top = max(r_v)
-        pos = r_v[top].degree()
-        candidate = r_u.get(top, UniPoly.zero())[pos] / r_v[top][pos]
-
-    consistent = _maps_proportional(r_u, r_v, candidate)
-    if consistent:
-        return RatioReport(
-            "constant",
-            candidate,
-            "sampled+divisibility" if sample_points else "symbolic",
-            tuple(f"ratio {r} at {pt}" for pt, r in sample_points[:2]),
-        )
-    witnesses = _numeric_witnesses(curve, num, den)
-    return RatioReport("non-constant", None, "symbolic", witnesses)
-
-
-def _maps_proportional(r_u, r_v, factor: Fraction) -> bool:
-    keys = set(r_u) | set(r_v)
-    for k in keys:
-        lhs = r_u.get(k, UniPoly.zero())
-        rhs = r_v.get(k, UniPoly.zero()) * factor
-        if lhs != rhs:
-            return False
-    return True
-
-
-def _two_distinct(samples):
-    by_ratio: dict[Fraction, tuple] = {}
-    for pt, r in samples:
-        by_ratio.setdefault(r, (pt, r))
-        if len(by_ratio) == 2:
-            break
-    return tuple(by_ratio.values())
-
-
-_RATIONAL_PROBE_SEQUENCE = (
-    Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 2), Fraction(4),
-    Fraction(1, 2), Fraction(3, 2), Fraction(5), Fraction(7, 3), Fraction(8, 3),
-    Fraction(5, 4), Fraction(7, 4), Fraction(9, 4), Fraction(6), Fraction(7),
-    Fraction(-2), Fraction(-3), Fraction(-5, 2), Fraction(9, 2), Fraction(11, 2),
-    Fraction(10, 3), Fraction(11, 3), Fraction(8), Fraction(9), Fraction(10),
-    Fraction(11, 4), Fraction(13, 4), Fraction(15, 4), Fraction(11), Fraction(12),
-    Fraction(13, 2), Fraction(15, 2), Fraction(13, 3), Fraction(14, 3), Fraction(13),
-    Fraction(14), Fraction(15), Fraction(16), Fraction(17, 2), Fraction(19, 2),
-    Fraction(16, 3), Fraction(17, 3), Fraction(17), Fraction(18), Fraction(19),
-    Fraction(21, 2), Fraction(23, 2), Fraction(19, 3), Fraction(20, 3), Fraction(20),
-)
-
-
-def _sample_ratio(curve, num, den, attempts: int = 50):
-    """Hunt rational curve points and evaluate the cleared ratio there."""
-    candidate = None
-    found = []
-    for value in _RATIONAL_PROBE_SEQUENCE[:attempts]:
-        u = curve.specialize(0, value)
-        if u.is_zero() or u.degree() < 1:
-            continue
-        try:
-            roots = rational_roots(u)
-        except ValueError:
-            continue
-        for root in roots:
-            if root == 0:
-                continue
-            pt = (value, root)
-            n_val = num.evaluate(pt)
-            d_val = den.evaluate(pt)
-            if d_val == 0:
-                continue
-            ratio = n_val / d_val
-            found.append((pt, ratio))
-            if candidate is None:
-                candidate = ratio
-        if len(found) >= 4:
-            break
-    return candidate, found
-
-
-def _numeric_witnesses(curve, num, den) -> tuple[str, ...]:
-    """Two floating curve points with visibly different ratios."""
-    import numpy as np
-
-    cmap = curve.coeff_polys(1)
-    top = max(cmap)
-    out = []
-    for x0 in (2.0, 1.5 + 0.5j):
-        coeffs = [complex(cmap.get(k, UniPoly.zero()).evaluate(x0)) for k in range(top + 1)]
-        roots = np.roots(list(reversed(coeffs)))
-        for r in roots:
-            if abs(r) < 1e-12:
-                continue
-            pt = (complex(x0), complex(r))
-            d_val = den.evaluate(pt)
-            if abs(d_val) < 1e-10:
-                continue
-            ratio = num.evaluate(pt) / d_val
-            out.append(f"ratio {ratio:.6g} near point ({pt[0]:.6g}, {pt[1]:.6g})")
-            break
-        if len(out) == 2:
-            break
-    return tuple(out)
+    top = max(r_v)
+    pos = r_v[top].degree()
+    value = r_u.get(top, UniPoly.zero())[pos] / r_v[top][pos]
+    zero = UniPoly.zero()
+    for k in sorted(set(r_u) | set(r_v)):
+        if r_u.get(k, zero) != r_v.get(k, zero) * value:
+            return RatioReport(
+                "non-constant", None, "symbolic",
+                (f"pseudo-remainders differ from {value} times each other at "
+                 f"{curve.var_names[main_axis]}^{k}",),
+            )
+    return RatioReport("constant", value, "symbolic")
 
 
 # -- verdict pipelines -----------------------------------------------------------

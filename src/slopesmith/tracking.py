@@ -25,6 +25,11 @@ from .laurent import LaurentPoly2
 from .unipoly import UniPoly
 
 
+# One track_curve request takes at most this many steps, summed over its
+# segments; each step is a fiber root solve, so a longer request is refused.
+MAX_TRACK_STEPS = 10_000
+
+
 class TrackingError(ValueError):
     pass
 
@@ -141,9 +146,10 @@ def track_curve(
 
     ``m_path`` lists first-coordinate waypoints beginning at the start
     point's first coordinate; the path is traversed in straight segments
-    with at most ``step`` between consecutive first coordinates.
+    with at most ``step`` between consecutive first coordinates.  A path
+    needing more than ``MAX_TRACK_STEPS`` steps is refused.
     """
-    if step <= 0 or residual_tol <= 0:
+    if not step > 0 or not residual_tol > 0:
         raise TrackingError("step and residual tolerance must be positive")
     a0, b0 = complex(start[0]), complex(start[1])
     waypoints = [complex(w) for w in m_path]
@@ -153,6 +159,15 @@ def track_curve(
         raise TrackingError("start point and waypoints must be finite")
     if abs(waypoints[0] - a0) > 1e-12 * (1.0 + abs(a0)):
         raise TrackingError("path must begin at the start point's first coordinate")
+    # Clamped before ceil, so an infinite quotient counts as over budget.
+    seg_steps = [
+        max(1, math.ceil(min(abs(end - begin) / step, MAX_TRACK_STEPS + 1)))
+        for begin, end in zip(waypoints, waypoints[1:])
+    ]
+    if sum(seg_steps) > MAX_TRACK_STEPS:
+        raise TrackingError(
+            f"the path needs more than {MAX_TRACK_STEPS} steps of size {step}"
+        )
     first_residual = _relative_residual(poly, (a0, b0))
     if first_residual > residual_tol:
         raise TrackingError(
@@ -192,9 +207,7 @@ def track_curve(
         samples.append((m_new, b_new))
         residuals.append(res)
 
-    for seg_start, seg_end in zip(waypoints, waypoints[1:]):
-        length = abs(seg_end - seg_start)
-        n_steps = max(1, math.ceil(length / step))
+    for seg_start, seg_end, n_steps in zip(waypoints, waypoints[1:], seg_steps):
         for k in range(1, n_steps + 1):
             target = seg_start + (seg_end - seg_start) * (k / n_steps)
             advance(target, samples[-1][1], 0)

@@ -267,6 +267,22 @@ def test_volume_eta_non_finite_waypoint_exits_two(capsys, m_path):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--loop", "small", "--tol", "nan"], "must be positive"),
+        (["--loop", "small", "--step", "nan"], "must be positive"),
+        (["--m-path", "1.2,1.3", "--step", "1e-9"], "more than 10000 steps"),
+        (["--m-path", "1.2,1.3", "--step", "5e-324"], "more than 10000 steps"),
+    ],
+)
+def test_volume_eta_refuses_nan_and_over_budget_steps(capsys, flags, message):
+    code, out, err = run(capsys, "volume", "eta", "--poly", "fig8-knot", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_volume_eta_text_carries_every_json_field(tmp_path, capsys):
     base = tmp_path / "eta"
     code, out, _ = run(

@@ -3,8 +3,9 @@
 The argument vectors come from a bounded grammar: each subcommand with its
 flags, each flag with well-formed or malformed values.  Values stay where
 one run is cheap (quadrature tolerance at least 1e-4, tetrahedron sides up
-to 6, diameter q up to 40 apart from values above the budget), and no
-``--out`` is given, so nothing is written.  Every case must exit with 0, 2
+to 6, diameter q up to 40, tracking step at least 0.005) or over a budget
+that refuses them at once (diameter q above 500, tracking step 1e-12), and
+no ``--out`` is given, so nothing is written.  Every case must exit with 0, 2
 or 3 within the deadline; a traceback or a slower case fails the test.
 """
 
@@ -104,7 +105,7 @@ COMMANDS = st.one_of(
         POLY,
         st.one_of(LOOP, M_PATH, M_PATH, joined(parts=[LOOP, M_PATH]), st.just([])),
         maybe(flag("branch", integers(-1, 5))),
-        maybe(flag("step", numbers(0.005, 0.1))),
+        maybe(flag("step", numbers(0.005, 0.1, bad=(*BAD_NUMBERS, "1e-12")))),
         maybe(TOL),
     ]),
 )
@@ -114,6 +115,7 @@ COMMANDS = st.one_of(
 @given(argv=COMMANDS)
 @example(argv=["volume", "lobachevsky", "--theta=pi/0"])
 @example(argv=["obstruct", "diameter", "--p=2", "--q=4001"])
+@example(argv=["volume", "eta", "--poly=fig8-knot", "--m-path=1.2,1.3", "--step=1e-12"])
 def test_cli_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -1,5 +1,6 @@
 """Unit tests for the curve constructions and obstruction pipelines."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,10 +195,15 @@ def test_ratio_constant_on_diagonal_line():
     assert rep.value == 1
 
 
-def test_ratio_constant_diameter_prescribed():
-    rep = ratio_constant_check(prescribed_slope_curve(1, 2, 3), "diameter", 1, 2)
+@pytest.mark.parametrize(
+    "p, q, c",
+    [(0, 1, 2), (1, 1, "-3/2"), (1, 2, 3), (2, 3, 5), (1, 4, -2), (3, 4, "1/3")],
+)
+def test_ratio_constant_diameter_prescribed(p, q, c):
+    rep = ratio_constant_check(prescribed_slope_curve(p, q, c), "diameter", p, q)
     assert rep.status == "constant"
-    assert rep.value == 9  # the defining constant squared
+    assert rep.value == Fraction(c) ** 2  # the defining constant squared
+    assert rep.method == "symbolic"
 
 
 def test_ratio_constant_fig8_is_not_constant():
@@ -206,7 +212,24 @@ def test_ratio_constant_fig8_is_not_constant():
     )
     assert rep.status == "non-constant"
     assert rep.value is None
-    assert rep.witnesses  # numeric witnesses are reported
+    # one exact witness: the power of the main variable where the
+    # pseudo-remainders stop being proportional
+    (witness,) = rep.witnesses
+    assert re.fullmatch(r"pseudo-remainders differ from \S+ times each other at l\^\d+", witness)
+
+
+def test_ratio_constant_denominator_vanishing_on_curve():
+    # On b = 1 the denominator (b - 1/b)^2 vanishes and the numerator does not.
+    rep = ratio_constant_check(parse_poly("b - 1"), "cyclic")
+    assert rep.status == "non-constant"
+    assert rep.witnesses == ("denominator vanishes on the curve, numerator does not",)
+
+
+def test_ratio_constant_refuses_curve_with_content_factor():
+    # On the component m = 2 the ratio (3/2)^2 / (b - 1/b)^2 varies with b,
+    # but pseudo-division by the whole curve would report a constant.
+    with pytest.raises(ObstructionError, match="share the factor"):
+        ratio_constant_check(parse_poly("(m-2)*(m-b)"), "cyclic")
 
 
 def test_ratio_constant_rejects_unknown_kind():

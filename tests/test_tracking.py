@@ -18,6 +18,7 @@ from slopesmith import (
     track_curve,
     volume_change,
 )
+from slopesmith.tracking import MAX_TRACK_STEPS
 
 
 def _fig8():
@@ -79,6 +80,32 @@ def test_track_refuses_non_finite_points_before_stepping(start, path):
         start = (start[0], fiber_roots(poly, start[0])[0])
     with pytest.raises(TrackingError, match="must be finite"):
         track_curve(poly, start, path)
+
+
+@pytest.mark.parametrize("step, tol", [(float("nan"), 1e-9), (0.01, float("nan")), (0.0, 1e-9)])
+def test_track_refuses_nan_or_nonpositive_step_and_tolerance(step, tol):
+    poly = _fig8()
+    start = (1.2, fiber_roots(poly, 1.2)[0])
+    with pytest.raises(TrackingError, match="must be positive"):
+        track_curve(poly, start, [1.2, 1.3], step=step, residual_tol=tol)
+
+
+@pytest.mark.parametrize("step", [1e-9, 5e-324])
+def test_track_refuses_paths_over_the_step_budget(step):
+    poly = _fig8()
+    start = (1.2, fiber_roots(poly, 1.2)[0])
+    # 5e-324 makes the step count overflow a float, not just the budget.
+    with pytest.raises(TrackingError, match=f"more than {MAX_TRACK_STEPS} steps"):
+        track_curve(poly, start, [1.2, 1.3], step=step)
+
+
+def test_track_step_budget_sums_the_segments():
+    # Each leg alone fits the budget; together they do not.
+    poly = _fig8()
+    start = (1.2, fiber_roots(poly, 1.2)[0])
+    step = 0.1 / (0.6 * MAX_TRACK_STEPS)
+    with pytest.raises(TrackingError, match="steps of size"):
+        track_curve(poly, start, [1.2, 1.3, 1.2], step=step)
 
 
 @pytest.mark.parametrize("m", [float("nan"), complex(1.2, float("inf"))])
