@@ -281,7 +281,7 @@ def _run_eta(args) -> tuple[str, dict, int]:
         waypoints = _parse_waypoints(args.m_path)
         if len(waypoints) < 2:
             raise ValueError("--m-path needs at least two waypoints")
-    from .tracking import fiber_roots, integrate_volume_form, track_curve
+    from .tracking import fiber_roots, integrate_volume_form, track_curve, volume_change
 
     roots = fiber_roots(poly, waypoints[0])
     if not 0 <= args.branch < len(roots):
@@ -290,7 +290,6 @@ def _run_eta(args) -> tuple[str, dict, int]:
     path = track_curve(
         poly, start, waypoints, step=args.step, residual_tol=args.tol
     )
-    integral = integrate_volume_form(path)
     r = _Report("volume-eta", "volume-form line integral")
     r.field("curve", "curve", entry.name)
     r.field("branch", "branch", args.branch, f"{args.branch} of {len(roots)}")
@@ -300,8 +299,8 @@ def _run_eta(args) -> tuple[str, dict, int]:
     samples = [{"m": m, "b": b, "residual": e} for (m, b), e in zip(path.samples, path.residuals)]
     r.field("samples", "samples", samples, str(len(samples)))
     r.field("max_residual", "max residual", max(path.residuals))
-    r.field("integral", "integral", integral)
-    r.field("volume_change", "volume change (-1/2 * integral)", -0.5 * integral)
+    r.field("integral", "integral", integrate_volume_form(path))
+    r.field("volume_change", "volume change (-1/2 * integral)", volume_change(path))
     return r.result()
 
 
@@ -374,9 +373,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     key = (args.command, getattr(args, "pipeline", None) or getattr(args, "kind", None))
-    handler = _HANDLERS[(args.command, None) if args.command == "analyze" else key]
     try:
-        text, payload, code = handler(args)
+        text, payload, code = _HANDLERS[key](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -149,22 +149,25 @@ def ideal_regular_tet() -> KleinTetrahedron:
     return KleinTetrahedron(_REGULAR_DIRECTIONS.copy())
 
 
-def regular_tet(side: float) -> KleinTetrahedron:
-    """Regular compact tetrahedron centered at the origin, all edges = side.
-
-    The apex distance t solves cosh(side) = cosh^2 t + sinh^2 t / 3
-    (law of cosines over the apex angle arccos(-1/3)), which gives the
-    Klein radius tanh t = sqrt(3 (cosh side - 1) / (3 cosh side + 1)).
-    Sides past about 27.9 are refused: the radius rounds to an ideal vertex.
-    """
-    if side <= 0:
-        raise HyperbolicError("side length must be positive")
+def _regular_radius(side: float) -> float:
+    """Klein radius tanh t of the vertices of the regular tetrahedron with this
+    side, where cosh(side) = cosh^2 t + sinh^2 t / 3 (law of cosines at the
+    center, over the angle arccos(-1/3) between two vertex directions)."""
     try:
         ch = math.cosh(side)
     except OverflowError:
         raise HyperbolicError(f"cosh of side length {side} overflows a double") from None
-    radius = math.sqrt(3.0 * (ch - 1.0) / (3.0 * ch + 1.0))
-    tet = KleinTetrahedron(radius * _REGULAR_DIRECTIONS)
+    return math.sqrt(3.0 * (ch - 1.0) / (3.0 * ch + 1.0))
+
+
+def regular_tet(side: float) -> KleinTetrahedron:
+    """Regular compact tetrahedron centered at the origin, all edges = side.
+
+    Sides past about 27.9 are refused: the radius rounds to an ideal vertex.
+    """
+    if side <= 0:
+        raise HyperbolicError("side length must be positive")
+    tet = KleinTetrahedron(_regular_radius(side) * _REGULAR_DIRECTIONS)
     if tet.ideal_mask().any():
         raise HyperbolicError(f"side length {side} rounds to an ideal tetrahedron")
     return tet
@@ -184,24 +187,28 @@ def klein_distance(x, y) -> float:
     return math.acosh(max(c, 1.0))
 
 
-def klein_angle(x, y, z) -> float:
-    """Angle at x between the geodesics toward y and z.
+def _chord_angles(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Angle at each row of x between the geodesics toward the rows of y and z.
 
-    Uses the Klein metric tensor on the Euclidean chords, which represent
-    geodesics in this model; y and z may be ideal, x must not be.
+    Geodesics are chords in this model, so this is the angle between
+    u = y - x and v = z - x in the Klein metric at x, g(a, b) = a.b / s +
+    (x.a)(x.b) / s^2 with s = 1 - |x|^2, here scaled by s^2.  The rows of x
+    must be finite points; y and z may be ideal.
     """
-    x = np.asarray(x, dtype=float)
-    s = 1.0 - float(x @ x)
-    if s <= _IDEAL_EPS:
+    s = 1.0 - (x * x).sum(axis=1)
+    u, v = y - x, z - x
+    xu, xv = (x * u).sum(axis=1), (x * v).sum(axis=1)
+    guv = s * (u * v).sum(axis=1) + xu * xv
+    norms = (s * (u * u).sum(axis=1) + xu * xu) * (s * (v * v).sum(axis=1) + xv * xv)
+    return np.arccos(np.clip(guv / np.sqrt(norms), -1.0, 1.0))
+
+
+def klein_angle(x, y, z) -> float:
+    """Angle at x between the geodesics toward y and z; see ``_chord_angles``."""
+    x, y, z = (np.asarray(p, dtype=float).reshape(1, 3) for p in (x, y, z))
+    if 1.0 - float(x[0] @ x[0]) <= _IDEAL_EPS:
         raise HyperbolicError("the apex of an angle must be a finite point")
-    u = np.asarray(y, dtype=float) - x
-    v = np.asarray(z, dtype=float) - x
-
-    def g(a, b):
-        return float(a @ b) / s + float(x @ a) * float(x @ b) / (s * s)
-
-    denom = math.sqrt(g(u, u) * g(v, v))
-    return math.acos(min(1.0, max(-1.0, g(u, v) / denom)))
+    return float(_chord_angles(x, y, z)[0])
 
 
 # -- adaptive volume quadrature ---------------------------------------------------
@@ -341,39 +348,22 @@ def klein_volume(tet: KleinTetrahedron, tol: float, max_leaves: int = 6_000_000)
 # -- face angles ------------------------------------------------------------------
 
 _FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# Row 3f + k: face f's corner at vertex f[k], then the next two in cyclic order.
+_CORNERS = np.array([(f[k], f[k - 2], f[k - 1]) for f in _FACES for k in range(3)])
 
 
 def face_angles(tet: KleinTetrahedron) -> np.ndarray:
     """All 12 interior angles of the 4 triangular faces, shape (4, 3).
 
     Row f lists the angles of the face omitting vertex f, at each of its
-    vertices in index order.  An angle at an ideal vertex is 0; finite
-    triangles use the hyperbolic law of cosines, and a finite vertex that
-    sees an ideal one falls back to the metric-tensor chord angle (the
-    ideal limit of the same formula).
+    vertices in index order, all from the Klein metric (``_chord_angles``).
+    An angle at an ideal vertex is 0.
     """
-    pts = tet.vertices
-    ideal = tet.ideal_mask()
-    dist = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            dist[a, b] = dist[b, a] = klein_distance(pts[a], pts[b])
-    out = np.zeros((4, 3))
-    for f, face in enumerate(_FACES):
-        for slot in range(3):
-            at = face[slot]
-            other1, other2 = (face[(slot + 1) % 3], face[(slot + 2) % 3])
-            if ideal[at]:
-                continue
-            b, c = dist[at, other1], dist[at, other2]
-            if math.isinf(b) or math.isinf(c):
-                out[f, slot] = klein_angle(pts[at], pts[other1], pts[other2])
-                continue
-            a = dist[other1, other2]
-            num = math.cosh(b) * math.cosh(c) - math.cosh(a)
-            den = math.sinh(b) * math.sinh(c)
-            out[f, slot] = math.acos(min(1.0, max(-1.0, num / den)))
-    return out
+    finite = ~tet.ideal_mask()[_CORNERS[:, 0]]
+    corners = tet.vertices[_CORNERS[finite]]
+    out = np.zeros(12)
+    out[finite] = _chord_angles(corners[:, 0], corners[:, 1], corners[:, 2])
+    return out.reshape(4, 3)
 
 
 @dataclass(frozen=True)
@@ -389,16 +379,17 @@ def face_angle_check(
     n_samples: int = 500,
     vol_threshold: float | None = None,
     seed: int = 0,
-    tol: float = 2e-5,
-    side_range: tuple[float, float] = (6.0, 8.5),
 ) -> FaceAngleReport:
     """Fit the largest constant with max-volume defect > C * angle^2.
 
-    Samples near-regular compact tetrahedra (jittered directions, jittered
-    hyperbolic radii), keeps those with volume above the threshold, and
-    requires the fitted inequality to hold at every face angle of every
-    sample.  The fitted constant is the observed minimum of
-    defect / angle^2, nudged down so the check is strict.
+    Samples near-regular compact tetrahedra: a side drawn uniformly from
+    [6, 8.5] gives the apex distance t = atanh(regular radius); each vertex
+    direction gets Gaussian noise of deviation 0.03, and each hyperbolic
+    radius is t times a uniform factor in [0.98, 1.02].  It keeps those with
+    volume, at quadrature tolerance 2e-5, above the threshold, and requires
+    the fitted inequality at every face angle of every sample.  The fitted
+    constant is the observed minimum of defect / angle^2, nudged down so
+    the check is strict.
     """
     if n_samples < 1:
         raise HyperbolicError("need at least one sample")
@@ -413,14 +404,12 @@ def face_angle_check(
     attempts = 0
     while len(defects) < n_samples and attempts < max_attempts:
         attempts += 1
-        side = rng.uniform(*side_range)
-        ch = math.cosh(side)
-        t_apex = math.acosh(math.sqrt((3.0 * ch + 1.0) / 4.0))
+        t_apex = math.atanh(_regular_radius(rng.uniform(6.0, 8.5)))
         dirs = _REGULAR_DIRECTIONS + rng.normal(0.0, 0.03, size=(4, 3))
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = np.tanh(t_apex * rng.uniform(0.98, 1.02, size=4))
         tet = KleinTetrahedron(dirs * radii[:, None])
-        vol = klein_volume(tet, tol)
+        vol = klein_volume(tet, 2e-5)
         if vol < vol_threshold:
             continue
         defects.append(v3 - vol)

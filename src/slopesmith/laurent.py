@@ -313,22 +313,17 @@ class LaurentPoly2:
         x, y = point
         exact = isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))
         total = Fraction(0) if exact else 0j
-        for (i, j), c in self.terms.items():
-            if x == 0 and i < 0:
-                raise EvaluationError(
-                    f"negative power of {self.var_names[0]} at a zero coordinate"
-                )
-            if y == 0 and j < 0:
-                raise EvaluationError(
-                    f"negative power of {self.var_names[1]} at a zero coordinate"
-                )
-            xv = x**i if x != 0 or i == 0 else x * 0
-            if x == 0 and i > 0:
+        # At a zero coordinate a term with a positive power of it vanishes.
+        zero_axes = [axis for axis in (0, 1) if point[axis] == 0]
+        for exps, c in self.terms.items():
+            for axis in zero_axes:
+                if exps[axis] < 0:
+                    raise EvaluationError(
+                        f"negative power of {self.var_names[axis]} at a zero coordinate"
+                    )
+            if any(exps[axis] for axis in zero_axes):
                 continue
-            yv = y**j if y != 0 or j == 0 else y * 0
-            if y == 0 and j > 0:
-                continue
-            total = total + (c if exact else complex(c)) * xv * yv
+            total = total + (c if exact else complex(c)) * x ** exps[0] * y ** exps[1]
         return total
 
     def coeff_polys(self, main_axis: int) -> dict[int, UniPoly]:

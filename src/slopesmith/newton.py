@@ -136,10 +136,15 @@ class NewtonPolygon:
         return classes
 
     def is_parallelogram(self) -> bool:
-        if len(self.vertices) != 4:
-            return False
-        v0, v1, v2, v3 = self.vertices
-        return (v0[0] + v2[0], v0[1] + v2[1]) == (v1[0] + v3[0], v1[1] + v3[1])
+        return is_parallelogram(self.vertices)
+
+
+def is_parallelogram(vertices) -> bool:
+    """Four vertices in cyclic order whose diagonals share their midpoint."""
+    if len(vertices) != 4:
+        return False
+    v0, v1, v2, v3 = vertices
+    return (v0[0] + v2[0], v0[1] + v2[1]) == (v1[0] + v3[0], v1[1] + v3[1])
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -185,10 +190,7 @@ def newton_polygon(poly: LaurentPoly2) -> NewtonPolygon:
     if len(hull) == 1:
         return NewtonPolygon((hull[0],), (), True)
     if len(hull) == 2:
-        v, w = hull
-        dx, dy = w[0] - v[0], w[1] - v[1]
-        g = gcd(abs(dx), abs(dy))
-        return NewtonPolygon(tuple(hull), (Edge(v, (dx // g, dy // g), g),), True)
+        return NewtonPolygon(tuple(hull), tuple(_edges_of(hull)[:1]), True)
     return NewtonPolygon(tuple(hull), tuple(_edges_of(hull)), False)
 
 

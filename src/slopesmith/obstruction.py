@@ -207,23 +207,24 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
 # -- local geometry at the origin ---------------------------------------------
 
 
+def _tangent_form(poly: LaurentPoly2, d_first, d_second, where) -> LaurentPoly2:
+    """d_first * x + d_second * y as a primitive integer form whose first
+    nonzero coefficient is positive; a zero gradient is singular at ``where``.
+    """
+    if d_first == 0 and d_second == 0:
+        raise SingularPointError(f"curve is singular at {where}")
+    scale = 1 / integer_content((d_first, d_second))
+    if d_first < 0 or (d_first == 0 and d_second < 0):
+        scale = -scale
+    return LaurentPoly2({(1, 0): d_first * scale, (0, 1): d_second * scale}, poly.var_names)
+
+
 def tangent_at_origin(poly: LaurentPoly2) -> LaurentPoly2:
     """Primitive integer form of the linear part at the origin."""
     poly = poly.normalize()
     if poly.coeff((0, 0)) != 0:
         raise ObstructionError("the origin is not on the curve")
-    c10, c01 = poly.coeff((1, 0)), poly.coeff((0, 1))
-    if c10 == 0 and c01 == 0:
-        raise SingularPointError("origin singular: the linear part vanishes")
-    form = LaurentPoly2({(1, 0): c10, (0, 1): c01}, poly.var_names)
-    return _canonical_sign_first(_strip_rational_content(form))
-
-
-def _canonical_sign_first(form: LaurentPoly2) -> LaurentPoly2:
-    c10, c01 = form.coeff((1, 0)), form.coeff((0, 1))
-    if c10 < 0 or (c10 == 0 and c01 < 0):
-        return -form
-    return form
+    return _tangent_form(poly, poly.coeff((1, 0)), poly.coeff((0, 1)), "the origin")
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,7 @@ def branch_orders(poly: LaurentPoly2, at) -> BranchData:
         raise ObstructionError(f"point {at} is not on the curve")
     d_first = poly.derivative(0).evaluate(point)
     d_second = poly.derivative(1).evaluate(point)
-    if d_first == 0 and d_second == 0:
-        raise SingularPointError(f"curve is singular at {at}")
-    tangent = _canonical_sign_first(
-        _strip_rational_content(
-            LaurentPoly2({(1, 0): d_first, (0, 1): d_second}, poly.var_names)
-        )
-    )
+    tangent = _tangent_form(poly, d_first, d_second, at)
     # Branch direction spans the kernel of the gradient.
     direction = (-d_second, d_first)
     orders = []
@@ -481,10 +476,8 @@ def cyclic_verdict(c, bound: int = 120) -> ObstructionReport:
         )
         return ObstructionReport("cyclic", inputs, tuple(evidence), "inconclusive")
 
-    tangent = tangent_at_origin(curve)
-    evidence.append(EvidenceStep("tangent-cone", "tangent-cone", str(tangent)))
-
     branch = branch_orders(curve, (0, 0))
+    evidence.append(EvidenceStep("tangent-cone", "tangent-cone", str(branch.tangent)))
     evidence.append(
         EvidenceStep(
             "branch-orders", "simple-pole-transversality",
@@ -579,24 +572,17 @@ def diameter_verdict(p: int, q: int) -> ObstructionReport:
         return ObstructionReport(
             "diameter", inputs, tuple(evidence), "contradiction-established"
         )
-    if q % 2 == 0:
-        verified = "negate-second" in symmetries
+    if q % 2 == 0 or p % 2 == 1:
+        if q % 2 == 0:
+            symmetry, reason = "negate-second", "q even forces the second-variable"
+        else:
+            symmetry, reason = "negate-both", "p and q both odd force the double"
+        verified = symmetry in symmetries
         evidence.append(
             EvidenceStep(
                 "conclusion", "forbidden-symmetry",
-                "q even forces the second-variable sign symmetry "
-                f"(verified on the curve: {verified}); that symmetry is forbidden",
-            )
-        )
-        verdict = "contradiction-established" if verified else "inconclusive"
-        return ObstructionReport("diameter", inputs, tuple(evidence), verdict)
-    if p % 2 == 1:
-        verified = "negate-both" in symmetries
-        evidence.append(
-            EvidenceStep(
-                "conclusion", "forbidden-symmetry",
-                "p and q both odd force the double sign symmetry "
-                f"(verified on the curve: {verified}); that symmetry is forbidden",
+                f"{reason} sign symmetry (verified on the curve: {verified}); "
+                "that symmetry is forbidden",
             )
         )
         verdict = "contradiction-established" if verified else "inconclusive"

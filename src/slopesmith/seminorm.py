@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from .newton import EdgeSlope, NewtonPolygon, DegeneratePolygonError
+from .newton import EdgeSlope, NewtonPolygon, DegeneratePolygonError, is_parallelogram
 
 
 class SeminormError(ValueError):
@@ -241,8 +241,7 @@ def fundamental_polygon_check(
     verts = ball.vertices
     if len(verts) != 4:
         raise FundamentalPolygonError(f"ball has {len(verts)} vertices, not 4")
-    v0, v1, v2, v3 = verts
-    if (v0[0] + v2[0], v0[1] + v2[1]) != (v1[0] + v3[0], v1[1] + v3[1]):
+    if not is_parallelogram(verts):
         raise FundamentalPolygonError("ball is not a parallelogram")
 
     reasons: list[str] = []

@@ -29,6 +29,9 @@ from .unipoly import UniPoly
 # segments; each step is a fiber root solve, so a longer request is refused.
 MAX_TRACK_STEPS = 10_000
 
+# An ambiguous step is halved at most this many times, then refused.
+MAX_HALVINGS = 40
+
 
 class TrackingError(ValueError):
     pass
@@ -140,14 +143,14 @@ def track_curve(
     m_path,
     step: float = 0.01,
     residual_tol: float = 1e-9,
-    max_halvings: int = 40,
 ) -> CurvePath:
     """Continue the branch of {poly = 0} through ``start`` along ``m_path``.
 
     ``m_path`` lists first-coordinate waypoints beginning at the start
     point's first coordinate; the path is traversed in straight segments
     with at most ``step`` between consecutive first coordinates.  A path
-    needing more than ``MAX_TRACK_STEPS`` steps is refused.
+    needing more than ``MAX_TRACK_STEPS`` steps, or a step still ambiguous
+    after ``MAX_HALVINGS`` halvings, is refused.
     """
     if not step > 0 or not residual_tol > 0:
         raise TrackingError("step and residual tolerance must be positive")
@@ -189,9 +192,9 @@ def track_curve(
         except DiscriminantCollisionError:
             choice = None
         if choice is None:
-            if depth >= max_halvings:
+            if depth >= MAX_HALVINGS:
                 raise DiscriminantCollisionError(
-                    f"ambiguous branch near {m_new} after {max_halvings} halvings"
+                    f"ambiguous branch near {m_new} after {MAX_HALVINGS} halvings"
                 )
             halvings_used += 1
             mid = (samples[-1][0] + m_new) / 2.0

@@ -112,6 +112,58 @@ def schlafli_regular_volume(side: float) -> float:
         return float(mp.re(ideal - 3 * mp.quad(edge, [mp.pi / 3, alpha])))
 
 
+def face_angles_mp(vertices) -> list[list[float]]:
+    """All 12 face angles of a Klein tetrahedron at 50 digits, rows as in
+    the library (face f omits vertex f; angles at its vertices in index order).
+
+    A corner whose two edges are finite uses the hyperbolic law of cosines
+    on mpmath Klein distances.  A corner that sees an ideal vertex uses the
+    Klein metric g(a, b) = a.b / s + (x.a)(x.b) / s^2, s = 1 - |x|^2, on the
+    chords.  A vertex with |v| >= 1 - 1e-12 counts as ideal, the library's
+    convention, and its angles are 0.
+    """
+    with mp.workdps(50):
+        pts = [[mp.mpf(float(c)) for c in row] for row in vertices]
+
+        def dot(a, b):
+            return sum(p * q for p, q in zip(a, b))
+
+        def cosh_dist(x, y):
+            sx, sy = 1 - dot(x, x), 1 - dot(y, y)
+            if sx <= 0 or sy <= 0:
+                return None
+            return (1 - dot(x, y)) / mp.sqrt(sx * sy)
+
+        def metric_angle(x, y, z):
+            s = 1 - dot(x, x)
+            u = [p - q for p, q in zip(y, x)]
+            v = [p - q for p, q in zip(z, x)]
+
+            def g(a, b):
+                return dot(a, b) / s + dot(x, a) * dot(x, b) / s**2
+
+            return mp.acos(g(u, v) / mp.sqrt(g(u, u) * g(v, v)))
+
+        ideal = [mp.sqrt(dot(p, p)) >= 1 - mp.mpf(1e-12) for p in pts]
+        rows = []
+        for face in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+            row = []
+            for k in range(3):
+                at, one, two = face[k], face[(k + 1) % 3], face[(k + 2) % 3]
+                if ideal[at]:
+                    row.append(0.0)
+                    continue
+                cb, cc = cosh_dist(pts[at], pts[one]), cosh_dist(pts[at], pts[two])
+                if cb is None or cc is None:
+                    row.append(float(metric_angle(pts[at], pts[one], pts[two])))
+                    continue
+                ca = cosh_dist(pts[one], pts[two])
+                cos_angle = (cb * cc - ca) / mp.sqrt((cb * cb - 1) * (cc * cc - 1))
+                row.append(float(mp.acos(cos_angle)))
+            rows.append(row)
+        return rows
+
+
 def seminorm_oracle(functionals, point) -> Fraction:
     """Sum of weighted absolute values of the listed functionals."""
     x, y = Fraction(point[0]), Fraction(point[1])

@@ -362,6 +362,9 @@ GOLDEN = Path(__file__).parent / "golden"
         ("obstruct-cyclic-neg3over4-bound30",
          ["obstruct", "cyclic", "--c=-3/4", "--bound", "30"], 3),
         ("obstruct-diameter-2-5", ["obstruct", "diameter", "--p", "2", "--q", "5"], 0),
+        ("obstruct-diameter-1-2", ["obstruct", "diameter", "--p", "1", "--q", "2"], 3),
+        ("obstruct-diameter-1-3", ["obstruct", "diameter", "--p", "1", "--q", "3"], 3),
+        ("obstruct-diameter-0-1", ["obstruct", "diameter", "--p", "0", "--q", "1"], 3),
     ],
 )
 def test_exact_reports_match_golden_files(tmp_path, capsys, name, argv, exit_code):

@@ -8,6 +8,7 @@ import sympy as sp
 
 from slopesmith import (
     LaurentPoly2,
+    NonTransverseError,
     ObstructionError,
     SingularPointError,
     boundary_slopes,
@@ -125,6 +126,32 @@ def test_tangent_at_origin_canonical_form():
     assert str(tangent_at_origin(eigenvalue_ratio_curve(Fraction(2)))) == "2*m - b"
     assert str(tangent_at_origin(eigenvalue_ratio_curve(Fraction(5, 2)))) == "5*m - 2*b"
     assert str(tangent_at_origin(eigenvalue_ratio_curve(Fraction(-3)))) == "3*m + b"
+
+
+def test_tangent_sign_falls_to_the_second_coefficient():
+    # With no first-variable term the second coefficient is made positive.
+    assert str(tangent_at_origin(parse_poly("m^2 - 2*b"))) == "b"
+    assert str(branch_orders(parse_poly("1/2*m - 3*b + b^2"), (0, 0)).tangent) == "m - 6*b"
+
+
+def test_tangent_at_origin_rejects_origin_off_curve():
+    with pytest.raises(ObstructionError) as info:
+        tangent_at_origin(parse_poly("m + b + 1"))
+    assert not isinstance(info.value, SingularPointError)
+
+
+def test_tangent_at_origin_rejects_node():
+    with pytest.raises(SingularPointError):
+        tangent_at_origin(parse_poly("m^2 - b^2 + m^3"))
+
+
+def test_tangent_at_origin_skips_the_transversality_check():
+    # m + b^2 = 0 touches the coordinate line m = 0 at the origin, so
+    # branch_orders refuses it; the tangent line itself is still m = 0.
+    curve = parse_poly("m + b^2")
+    assert str(tangent_at_origin(curve)) == "m"
+    with pytest.raises(NonTransverseError):
+        branch_orders(curve, (0, 0))
 
 
 def test_branch_orders_at_origin():

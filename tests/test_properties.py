@@ -1,6 +1,6 @@
 """Property-based suites: ring axioms, polygon additivity, norm axioms,
-the parser round trip and the root-of-unity scan.  Each suite runs at
-least 200 generated cases."""
+the parser round trip, the root-of-unity scan and the tangent at the
+origin.  Each suite runs at least 200 generated cases."""
 
 import math
 from fractions import Fraction
@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from slopesmith import (
     LaurentPoly2,
+    ObstructionError,
     PeripheralClass,
     Seminorm,
     UniPoly,
+    branch_orders,
     eval_norm,
     newton_polygon,
     parse_poly,
+    tangent_at_origin,
     unity_order,
 )
 from _oracles import (
@@ -182,3 +185,28 @@ def test_unity_order_matches_cyclotomic_division_suite(cyclos, factors, scale, s
     for coeffs in factors:
         p = p * UniPoly(coeffs)
     assert unity_order(p, bound) == unity_orders_oracle(p, bound)
+
+
+# Curves through the origin: a linear part that may vanish, plus terms of
+# total degree 2 to 4.
+linear_parts = st.tuples(
+    st.one_of(st.just(Fraction(0)), nonzero_coeffs), st.one_of(st.just(Fraction(0)), nonzero_coeffs)
+)
+higher_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: 2 <= sum(e) <= 4),
+    nonzero_coeffs,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_parts, higher_terms)
+def test_branch_tangent_at_origin_is_tangent_at_origin_suite(linear, higher):
+    poly = LaurentPoly2({**higher, (1, 0): linear[0], (0, 1): linear[1]})
+    if poly.is_zero():
+        return
+    try:
+        branch = branch_orders(poly, (0, 0))
+    except ObstructionError:
+        return
+    assert branch.tangent == tangent_at_origin(poly)
