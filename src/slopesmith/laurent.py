@@ -21,11 +21,12 @@ identifier, not a product.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .unipoly import CoeffLike, UniPoly, as_fraction
+from .unipoly import CoeffLike, UniPoly, as_fraction, signed_terms_text, square_and_multiply
 
 Exponents = tuple[int, int]
 
@@ -33,9 +34,10 @@ Exponents = tuple[int, int]
 # certainly typos and would make dense expansion or printing blow up.
 MAX_EXPONENT = 10**6
 
-# Largest number of terms a parsed power may expand to.  The bound is
-# checked before expanding, so (m+b)^1000000 is refused at once; a power
-# just inside it takes a few seconds of exact arithmetic.
+# Largest number of terms a parsed power, or a parsed product of two
+# multi-term factors, may expand to.  The bound is checked before
+# expanding, so (m+b)^1000000 is refused at once; a power just inside it
+# takes a few seconds of exact arithmetic.
 MAX_POWER_TERMS = 2500
 
 
@@ -215,14 +217,9 @@ class LaurentPoly2:
                 raise LaurentError("negative power of a non-monomial Laurent polynomial")
             ((i, j), c), = self.terms.items()
             return LaurentPoly2({(i * n, j * n): c**n}, self.var_names)
-        result = LaurentPoly2.constant(1, self.var_names)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return square_and_multiply(
+            self, n, LaurentPoly2.constant(1, self.var_names), operator.mul
+        )
 
     def _coerce(self, other: "LaurentPoly2 | int | Fraction") -> "LaurentPoly2":
         if isinstance(other, LaurentPoly2):
@@ -247,11 +244,7 @@ class LaurentPoly2:
         )
 
     def is_normalized(self) -> bool:
-        if not self.terms:
-            return True
-        return (
-            min(i for i, _ in self.terms) == 0 and min(j for _, j in self.terms) == 0
-        )
+        return self.normalize() is self
 
     # -- monomial substitutions -------------------------------------------
 
@@ -382,28 +375,8 @@ class LaurentPoly2:
         return sorted(self.terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][1]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         v1, v2 = self.var_names
-        parts: list[str] = []
-        for (i, j), c in self._sorted_terms():
-            factors = []
-            if i != 0:
-                factors.append(v1 if i == 1 else f"{v1}^{i}")
-            if j != 0:
-                factors.append(v2 if j == 1 else f"{v2}^{j}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_terms_text((c, ((v1, i), (v2, j))) for (i, j), c in self._sorted_terms())
 
     def __repr__(self) -> str:
         return f"LaurentPoly2('{self}', vars={self.var_names})"
@@ -484,12 +457,16 @@ class _Parser:
             kind, _, _ = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                product = product * self._factor()
-            elif kind in ("int", "name", "("):
-                # juxtaposition, e.g. "3 m^2 b"
-                product = product * self._factor()
-            else:
+            elif kind not in ("int", "name", "("):
                 return product
+            # A factor follows "*" or is juxtaposed, e.g. "3 m^2 b".
+            factor = self._factor()
+            if (
+                min(product.num_terms(), factor.num_terms()) > 1
+                and _terms_bound((product, 1), (factor, 1)) > MAX_POWER_TERMS
+            ):
+                raise ExponentOverflowError(f"product expands past {MAX_POWER_TERMS} terms")
+            product = product * factor
 
     def _factor(self) -> LaurentPoly2:
         base = self._atom()
@@ -509,7 +486,7 @@ class _Parser:
             raise ExponentOverflowError(f"exponent {value} out of range")
         if negative:
             exp = -exp
-        elif base.num_terms() > 1 and _power_terms_bound(base, exp) > MAX_POWER_TERMS:
+        elif base.num_terms() > 1 and _terms_bound((base, exp)) > MAX_POWER_TERMS:
             raise ExponentOverflowError(
                 f"power {value} expands past {MAX_POWER_TERMS} terms"
             )
@@ -550,13 +527,19 @@ class _Parser:
         )
 
 
-def _power_terms_bound(base: LaurentPoly2, exp: int) -> int:
-    """Upper bound on the terms of base**exp: the lattice points of the
-    exponent box scaled by exp, and the multisets of exp base terms."""
-    lo_m, hi_m = base.exponent_range(0)
-    lo_b, hi_b = base.exponent_range(1)
-    box = (exp * (hi_m - lo_m) + 1) * (exp * (hi_b - lo_b) + 1)
-    return min(box, comb(exp + base.num_terms() - 1, exp))
+def _terms_bound(*powers: tuple[LaurentPoly2, int]) -> int:
+    """Upper bound on the terms of the product of base**exp over the
+    (base, exp) pairs: the lattice points of the box whose widths are the
+    summed exponent ranges, and the product of the multiset counts of exp
+    base terms (for exp = 1, of the term counts)."""
+    width = [0, 0]
+    count = 1
+    for base, exp in powers:
+        for axis in (0, 1):
+            lo, hi = base.exponent_range(axis)
+            width[axis] += exp * (hi - lo)
+        count *= comb(exp + base.num_terms() - 1, exp)
+    return min((width[0] + 1) * (width[1] + 1), count)
 
 
 def parse_poly(text: str, var_names: tuple[str, str] = ("m", "b")) -> LaurentPoly2:

@@ -67,7 +67,10 @@ class EdgeSlope:
         if isinstance(value, str):
             if value in ("inf", "oo"):
                 return cls(1, 0)
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError) as err:
+                raise PolygonError(f"cannot interpret {value!r} as a slope") from err
         if isinstance(value, (int, Fraction)):
             f = Fraction(value)
             return cls(f.numerator, f.denominator)
@@ -201,15 +204,11 @@ def boundary_slopes(polygon: NewtonPolygon) -> set[EdgeSlope]:
     return {e.slope for e in polygon.edges}
 
 
-_AXIS = {"first": 0, "second": 1, 0: 0, 1: 1}
-
-
-def axis_diameter(polygon: NewtonPolygon, axis) -> int:
-    """Width of the projection onto the chosen exponent axis."""
-    a = _AXIS.get(axis)
-    if a is None:
-        raise PolygonError(f"axis must be 'first' or 'second', got {axis!r}")
-    vals = [v[a] for v in polygon.vertices]
+def axis_diameter(polygon: NewtonPolygon, axis: int) -> int:
+    """Width of the projection onto exponent axis 0 or 1."""
+    if axis not in (0, 1):
+        raise PolygonError(f"axis must be 0 or 1, got {axis!r}")
+    vals = [v[axis] for v in polygon.vertices]
     return max(vals) - min(vals)
 
 

@@ -130,8 +130,8 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
     if poly.num_terms() <= 1:
         raise ObstructionError("constant or single-term input")
 
-    for main_axis in (1, 0):
-        cmap = poly.coeff_polys(main_axis)
+    cmaps = {main_axis: poly.coeff_polys(main_axis) for main_axis in (1, 0)}
+    for main_axis, cmap in cmaps.items():
         if len(cmap) == 1:
             # Pure power of the main variable times a univariate polynomial.
             raise ObstructionError("input is univariate after normalization")
@@ -153,7 +153,7 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
         deg = deg2 if main_axis == 1 else deg1
         if deg != 2:
             continue
-        cmap = poly.coeff_polys(main_axis)
+        cmap = cmaps[main_axis]
         a = cmap.get(2, UniPoly.zero())
         b = cmap.get(1, UniPoly.zero())
         c = cmap.get(0, UniPoly.zero())

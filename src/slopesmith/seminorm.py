@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from .newton import EdgeSlope, NewtonPolygon, DegeneratePolygonError, is_parallelogram
+from .newton import EdgeSlope, NewtonPolygon, DegeneratePolygonError, _cross, is_parallelogram
 
 
 class SeminormError(ValueError):
@@ -80,7 +80,7 @@ class Seminorm:
     def is_norm(self) -> bool:
         funcs = self.functionals
         return any(
-            funcs[i][0] * funcs[j][1] - funcs[j][0] * funcs[i][1] != 0
+            _cross((0, 0), funcs[i][:2], funcs[j][:2]) != 0
             for i in range(len(funcs))
             for j in range(i + 1, len(funcs))
         )
@@ -89,10 +89,8 @@ class Seminorm:
         """One primitive class per functional, spanning its kernel line."""
         out = []
         for q, p, _ in self.functionals:
-            a, b = -p, q
-            if b < 0 or (b == 0 and a < 0):
-                a, b = -a, -b
-            out.append(PeripheralClass(a, b))
+            kernel = EdgeSlope(-p, q)
+            out.append(PeripheralClass(kernel.rise, kernel.run))
         return out
 
 
@@ -105,11 +103,10 @@ class NormBall:
 
 
 def _functional_for_slope(slope: EdgeSlope) -> tuple[int, int]:
-    # Kernel class is (rise, run); (run, -rise) vanishes there.
-    q, p = slope.run, -slope.rise
-    if q < 0 or (q == 0 and p < 0):
-        q, p = -q, -p
-    return q, p
+    # Kernel class is (rise, run); (run, -rise) vanishes there.  Read as
+    # EdgeSlope(p, q), the functional (q, p) gets q >= 0, and p > 0 if q = 0.
+    functional = EdgeSlope(-slope.rise, slope.run)
+    return functional.run, functional.rise
 
 
 def seminorm_from_polygon(polygon: NewtonPolygon) -> Seminorm:
@@ -142,7 +139,7 @@ def _ccw_compare(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> 
     hu, hv = half(u), half(v)
     if hu != hv:
         return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
+    cross = _cross((0, 0), u, v)
     if cross > 0:
         return -1
     if cross < 0:
@@ -223,9 +220,7 @@ def _shoelace_area(vertices) -> Fraction:
     total = Fraction(0)
     n = len(vertices)
     for k in range(n):
-        x0, y0 = vertices[k]
-        x1, y1 = vertices[(k + 1) % n]
-        total += x0 * y1 - x1 * y0
+        total += _cross((0, 0), vertices[k], vertices[(k + 1) % n])
     return abs(total) / 2
 
 

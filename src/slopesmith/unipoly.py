@@ -7,6 +7,7 @@ low degree first with trailing zeros trimmed.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Collection, Iterable, Union
@@ -37,6 +38,40 @@ def integer_content(coeffs: Collection[Fraction]) -> Fraction:
     den = lcm(*(c.denominator for c in coeffs))
     num = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
     return Fraction(num, den)
+
+
+def square_and_multiply(base, n: int, one, mul):
+    """base**n for n >= 0 by repeated squaring; ``mul`` multiplies two values
+    and ``one`` is its identity."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
+def signed_terms_text(terms: Iterable[tuple[Fraction, tuple[tuple[str, int], ...]]]) -> str:
+    """Print (coefficient, powers) pairs as a signed sum such as
+    "1/2 - 3*m + m^2*b"; powers are (name, exponent) pairs, and unit
+    coefficients and exponents are implicit."""
+    parts = []
+    for c, powers in terms:
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in powers if k != 0)
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 class UniPoly:
@@ -116,15 +151,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(self, n, UniPoly((1,)), operator.mul)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
@@ -190,24 +217,7 @@ class UniPoly:
         return UniPoly([c / content for c in self.coeffs]), content
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "x" if mag == 1 else f"{mag}*x"
-            else:
-                body = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_terms_text((c, (("x", k),)) for k, c in enumerate(self.coeffs) if c != 0)
 
     def __repr__(self) -> str:
         return f"UniPoly('{self}')"
@@ -358,23 +368,20 @@ def _polyrem(a: list[int], mod: list[int], q: int) -> list[int]:
 
 
 def _polygcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """A gcd over GF(q), up to a unit factor."""
     while b:
         a, b = b, _polyrem(a, b, q)
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [c * inv % q for c in a]
     return a
 
 
-def _xpow_mod(e: int, mod: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _polyrem([0, 1], mod, q)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, mod, q)
-        base = _polymulmod(base, base, mod, q)
-        e >>= 1
-    return result
+def _frobenius_minus_x(e: int, mod: list[int], q: int) -> list[int]:
+    """x^(q^e) - x modulo (mod, q), for mod of degree >= 2."""
+    frobenius = square_and_multiply([0, 1], q**e, [1], lambda a, b: _polymulmod(a, b, mod, q))
+    diff = frobenius + [0, 0]
+    diff[1] = (diff[1] - 1) % q
+    while diff and diff[-1] == 0:
+        diff.pop()
+    return diff
 
 
 def is_irreducible_mod_p(p: UniPoly, q: int) -> bool | None:
@@ -392,29 +399,13 @@ def is_irreducible_mod_p(p: UniPoly, q: int) -> bool | None:
     if n == 1:
         return True
     # x^(q^n) == x mod (p, q), and gcd(x^(q^(n/r)) - x, p) == 1 for prime r | n.
-    xq_n = _xpow_mod(q**n, coeffs, q)
-    x_poly = _polyrem([0, 1], coeffs, q)
-    diff = [(a - b) % q for a, b in _zip_pad(xq_n, x_poly)]
-    while diff and diff[-1] == 0:
-        diff.pop()
-    if diff:
+    if _frobenius_minus_x(n, coeffs, q):
         return False
     for r in _prime_factors(n):
-        e = n // r
-        xq_e = _xpow_mod(q**e, coeffs, q)
-        diff = [(a - b) % q for a, b in _zip_pad(xq_e, x_poly)]
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _polygcd_mod(coeffs, diff, q) if diff else list(coeffs)
-        if len(g) != 1:
+        diff = _frobenius_minus_x(n // r, coeffs, q)
+        if not diff or len(_polygcd_mod(coeffs, diff, q)) != 1:
             return False
     return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for k in range(n):
-        yield (a[k] if k < len(a) else 0, b[k] if k < len(b) else 0)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -261,3 +262,17 @@ def unity_orders_oracle(p, bound: int) -> list[int]:
     coeffs = [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
     poly = sp.Poly(coeffs, _X, domain="QQ")
     return [n for n in range(1, bound + 1) if poly.rem(_cyclotomic(n)).is_zero]
+
+
+def irreducible_mod_q_oracle(p, q: int) -> bool:
+    """Whether p (a UniPoly whose denominators q does not divide) is
+    irreducible over GF(q): whether sympy's factorization over the field
+    (Cantor-Zassenhaus, not Rabin's test) returns p as its only factor.
+
+    Clearing denominators multiplies p by a unit mod q, which keeps the
+    answer.
+    """
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [int(c * den) for c in reversed(p.coeffs)]
+    _, factors = sp.Poly(coeffs, _X, modulus=q).factor_list()
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == len(coeffs) - 1

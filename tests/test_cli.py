@@ -70,6 +70,14 @@ def test_analyze_bad_file_exits_two(tmp_path, capsys):
     assert "vars header" in err
 
 
+def test_analyze_product_past_term_budget_exits_two(tmp_path, capsys):
+    f = tmp_path / "big.poly"
+    f.write_text("vars: m b\n(1+m+b)^25*(1+m+b)^25*(1+m+b)^25*(1+m+b)^25\n")
+    code, _, err = run(capsys, "analyze", "--poly", str(f))
+    assert code == 2
+    assert "expands past" in err
+
+
 def test_obstruct_cyclic_contradiction_exit_three(capsys):
     code, out, _ = run(capsys, "obstruct", "cyclic", "--c", "2")
     assert code == 3

@@ -189,7 +189,12 @@ def test_exponent_overflow_guard():
 
 def test_parse_refuses_power_expansion_past_term_budget():
     start = time.perf_counter()
-    for text in ("(m+b)^1000000", "(m*b+m+b+1)^50", "((m+b)^40)^40"):
+    for text in (
+        "(m+b)^1000000",
+        "(m*b+m+b+1)^50",
+        "((m+b)^40)^40",
+        "(1+m+b)^25*(1+m+b)^25*(1+m+b)^25*(1+m+b)^25",
+    ):
         with pytest.raises(ExponentOverflowError):
             parse_poly(text)
     assert time.perf_counter() - start < 1.0

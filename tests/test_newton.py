@@ -111,6 +111,9 @@ def test_axis_diameter_against_support():
     pg = newton_polygon(p)
     assert axis_diameter(pg, 0) == 4
     assert axis_diameter(pg, 1) == 4
+    for axis in (2, "first"):
+        with pytest.raises(PolygonError):
+            axis_diameter(pg, axis)
 
 
 def test_edge_polynomial_collects_edge_coefficients():
@@ -198,8 +201,10 @@ def test_minimality_fig8_knot():
 
 
 def test_minimality_slope_mismatch_raises():
-    with pytest.raises(PolygonError):
-        minimality_check(prescribed_slope_curve(1, 2, 1), [Fraction(0)])
+    # A slope that does not match, and two texts that are no slope at all.
+    for slope in (Fraction(0), "1/0", "x"):
+        with pytest.raises(PolygonError):
+            minimality_check(prescribed_slope_curve(1, 2, 1), [slope])
 
 
 def test_minimality_degenerate_raises():

@@ -1,6 +1,7 @@
 """Property-based suites: ring axioms, polygon additivity, norm axioms,
-the parser round trip, the root-of-unity scan and the tangent at the
-origin.  Each suite runs at least 200 generated cases."""
+the parser round trip, the root-of-unity scan, the tangent at the origin
+and the modular irreducibility test.  Each suite runs at least 200
+generated cases."""
 
 import math
 from fractions import Fraction
@@ -20,9 +21,11 @@ from slopesmith import (
     tangent_at_origin,
     unity_order,
 )
+from slopesmith.unipoly import _CERT_PRIMES, is_irreducible_mod_p
 from _oracles import (
     brute_hull,
     cyclotomic_coeffs,
+    irreducible_mod_q_oracle,
     minkowski_sum_hull,
     unity_orders_oracle,
 )
@@ -210,3 +213,29 @@ def test_branch_tangent_at_origin_is_tangent_at_origin_suite(linear, higher):
     except ObstructionError:
         return
     assert branch.tangent == tangent_at_origin(poly)
+
+
+@st.composite
+def polys_mod_good_prime(draw):
+    """(p, q): q a certificate prime, p of degree 2 to 8 whose denominators
+    and leading numerator q does not divide."""
+    q = draw(st.sampled_from(_CERT_PRIMES))
+    degree = draw(st.integers(min_value=2, max_value=8))
+    numerators = draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree))
+    numerators.append(draw(st.integers(-30, 30).filter(lambda n: n % q != 0)))
+    dens = st.integers(1, 9).filter(lambda d: d % q != 0)
+    return UniPoly([Fraction(n, draw(dens)) for n in numerators]), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_mod_good_prime())
+def test_irreducible_mod_p_matches_sympy_suite(case):
+    p, q = case
+    assert is_irreducible_mod_p(p, q) is irreducible_mod_q_oracle(p, q)
+
+
+def test_irreducible_mod_p_refuses_degenerate_reductions():
+    # A denominator divisible by q, and a leading coefficient that vanishes mod q.
+    assert is_irreducible_mod_p(UniPoly([Fraction(1, 3), 0, 1]), 3) is None
+    assert is_irreducible_mod_p(UniPoly([1, 1, 0, 3]), 3) is None
+    assert is_irreducible_mod_p(UniPoly([1, 0, 14]), 7) is None

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slopesmith"
@@ -33,3 +34,20 @@ def test_only_the_numerical_half_imports_numpy():
         if _imports_numpy(node)
     ]
     assert found == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # Only ``perfbench/run.py --trace 1`` installs perfbench/tracer.py, so a
+    # moved target would break nothing else.  Resolve each target the way
+    # ``Tracer.install`` does, without installing it.
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, attr, label in tracer.SPANNED + tracer.COUNTED:
+        module = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(module, cls_name)).get(meth)), label
+        else:
+            assert callable(getattr(module, attr, None)), label

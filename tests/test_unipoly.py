@@ -40,6 +40,23 @@ def test_arithmetic():
     assert (p * 0).is_zero()
 
 
+def test_str_prints_signed_terms_low_degree_first():
+    cases = [
+        ([], "0"),
+        ([5], "5"),
+        ([Fraction(-2, 3)], "-2/3"),
+        ([1, 0, -1], "1 - x^2"),
+        ([0, 1], "x"),
+        ([0, -1], "-x"),
+        ([0, Fraction(5, 2)], "5/2*x"),
+        ([Fraction(1, 2), Fraction(-3, 4), 0, 0, 2], "1/2 - 3/4*x + 2*x^4"),
+        ([-1, 1, 0, -7], "-1 + x - 7*x^3"),
+    ]
+    for coeffs, text in cases:
+        assert str(UniPoly(coeffs)) == text
+        assert repr(UniPoly(coeffs)) == f"UniPoly('{text}')"
+
+
 def test_evaluate_exact():
     p = UniPoly([Fraction(1, 2), 0, 1])
     assert p.evaluate(Fraction(3)) == Fraction(19, 2)
