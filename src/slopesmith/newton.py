@@ -258,8 +258,8 @@ def unity_order(p: UniPoly, bound: int = 120) -> list[int]:
         g = poly_gcd(work, x_pow_minus_one(n))
         if g.degree() >= 1:
             orders.append(n)
-            while (work % g).is_zero():
-                work = work // g
+            while (split := divmod(work, g))[1].is_zero():
+                work = split[0]
     return orders
 
 

@@ -63,15 +63,20 @@ def eigenvalue_ratio_curve(c) -> LaurentPoly2:
     )
 
 
+def _check_slope_pair(p: int, q: int) -> None:
+    """Refuse (p, q) unless p/q is a reduced fraction with 0 <= p <= q."""
+    if not (0 <= p <= q) or q < 1:
+        raise ObstructionError(f"need 0 <= p <= q with q >= 1, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ObstructionError(f"p and q must be coprime, got ({p}, {q})")
+
+
 def prescribed_slope_curve(p: int, q: int, c) -> LaurentPoly2:
     """m^p (l^2-1)^p (l^2 m^2 - 1)^(q-p) - c l^q (m^2-1)^q in variables (m, l)."""
     c = Fraction(c)
     if c == 0:
         raise ObstructionError("the constant must be nonzero")
-    if not (0 <= p <= q) or q < 1:
-        raise ObstructionError(f"need 0 <= p <= q with q >= 1, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ObstructionError(f"p and q must be coprime, got ({p}, {q})")
+    _check_slope_pair(p, q)
     vars_ = ("m", "l")
     m = LaurentPoly2.variable(0, vars_)
     l = LaurentPoly2.variable(1, vars_)
@@ -114,6 +119,16 @@ _SPECIALIZE_SEQUENCE = (
     Fraction(5, 3), Fraction(7, 3), Fraction(8, 3), Fraction(9, 2), Fraction(5),
     Fraction(11, 2), Fraction(6),
 )
+
+
+def _degree_keeping_specializations(poly: LaurentPoly2, axis: int):
+    """(value, u) for each value of _SPECIALIZE_SEQUENCE at which u, the
+    normalized ``poly`` with ``axis`` set to value, keeps the other degree."""
+    full_degree = poly.degree(1 - axis)
+    for value in _SPECIALIZE_SEQUENCE:
+        u = poly.specialize(axis, value)
+        if u.degree() == full_degree:
+            yield value, u
 
 
 def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
@@ -187,12 +202,7 @@ def irreducibility_check(poly: LaurentPoly2) -> IrreducibilityReport:
 
     # Both degrees >= 3: one-sided specialization certificates.
     for axis in (0, 1):
-        main_axis = 1 - axis
-        full_degree = deg2 if main_axis == 1 else deg1
-        for value in _SPECIALIZE_SEQUENCE:
-            u = poly.specialize(axis, value)
-            if u.degree() != full_degree:
-                continue  # leading coefficient vanished; try another value
+        for value, u in _degree_keeping_specializations(poly, axis):
             if irreducible_over_q(u) is True:
                 return IrreducibilityReport(
                     "irreducible",
@@ -358,9 +368,11 @@ def ratio_constant_check(
     the q-th power of the first variable's deviation.  Both are
     pseudo-divided by the curve in its main variable, and the ratio is the
     constant c exactly when the remainders satisfy r_num = c * r_den.  That
-    needs the curve coprime to the leading coefficient it is divided by, so
-    a curve whose coefficients in the main variable share a factor is
-    refused with ObstructionError.
+    needs the curve squarefree and coprime to the leading coefficient it is
+    divided by.  ObstructionError refuses a curve with fewer than two terms,
+    with a common factor in its coefficients in the main variable, or with
+    no specialization that keeps its degree and is squarefree (B^2 dividing
+    the curve makes B(a, .)^2 divide each such specialization).
     """
     x = LaurentPoly2.variable(0, curve.var_names)
     y = LaurentPoly2.variable(1, curve.var_names)
@@ -377,6 +389,8 @@ def ratio_constant_check(
 
     num, den = _joint_clear(num, den)
     curve = curve.normalize()
+    if curve.num_terms() <= 1:
+        raise ObstructionError("constant or single-term input")
 
     # Divide in the variable where the curve has positive degree; remainders
     # of lower degree vanish mod the curve only when identically zero.
@@ -387,6 +401,12 @@ def ratio_constant_check(
         raise ObstructionError(
             f"the curve's coefficients in {curve.var_names[main_axis]} share the "
             f"factor {content}; split off that component first"
+        )
+    if not any(poly_gcd(u, u.derivative()).degree() == 0
+               for _, u in _degree_keeping_specializations(curve, 1 - main_axis)):
+        raise ObstructionError(
+            f"the curve may have a repeated factor in {curve.var_names[main_axis]}; "
+            "pass its squarefree part"
         )
     r_u, s_u = _pseudo_remainder(num.coeff_polys(main_axis), a_map)
     r_v, s_v = _pseudo_remainder(den.coeff_polys(main_axis), a_map)
@@ -540,10 +560,7 @@ def diameter_verdict(p: int, q: int) -> ObstructionReport:
 
     A q above ``MAX_DIAMETER_Q`` is refused with ObstructionError.
     """
-    if not (0 <= p <= q) or q < 1:
-        raise ObstructionError(f"need 0 <= p <= q with q >= 1, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ObstructionError(f"p and q must be coprime, got ({p}, {q})")
+    _check_slope_pair(p, q)
     if q > MAX_DIAMETER_Q:
         raise ObstructionError(f"q = {q} exceeds the budget of {MAX_DIAMETER_Q}")
     inputs = {"p": str(p), "q": str(q)}

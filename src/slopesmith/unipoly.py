@@ -2,7 +2,8 @@
 
 Support code for edge polynomials, specializations and the root-of-unity
 and irreducibility certificates.  Coefficients are ``Fraction``s stored
-low degree first with trailing zeros trimmed.
+low degree first with trailing zeros trimmed; one coefficient-list core
+serves Q and GF(q).
 """
 
 from __future__ import annotations
@@ -74,6 +75,55 @@ def signed_terms_text(terms: Iterable[tuple[Fraction, tuple[tuple[str, int], ...
     return " ".join(parts) or "0"
 
 
+# -- coefficient-list core -----------------------------------------------------
+# Lists hold coefficients low degree first: Fractions over Q (q = 0), or
+# ints over GF(q) for a prime q.  The modulus is read outside the inner
+# loops only, so entries leave [0, q) in between; _divmod reduces and trims.
+
+
+def _trim(cs: list, q: int = 0) -> list:
+    """Reduce mod q when q > 0, then drop trailing zeros."""
+    if q:
+        cs = [c % q for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _mul(a, b) -> list:
+    """Product of two coefficient lists; not reduced."""
+    if not a or not b:
+        return []
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divmod(a, b, q: int = 0) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    d, lead = len(b) - 1, b[-1]
+    inv = pow(lead, -1, q) if q else None  # over Q the loop divides by lead
+    rem, quot = list(a), []
+    for k in range(len(rem) - 1, d - 1, -1):
+        # A zero leading entry costs no arithmetic: its quotient coefficient is 0.
+        f = rem[k] and (rem[k] * inv % q if q else rem[k] / lead)
+        quot.append(f)
+        if f:
+            for i, c in enumerate(b, k - d):
+                rem[i] -= f * c
+    return _trim(quot[::-1]), _trim(rem, q)
+
+
+def _gcd(a, b, q: int = 0) -> list:
+    """A gcd of two trimmed coefficient lists, up to a unit factor."""
+    while b:
+        a, b = b, _divmod(a, b, q)[1]
+    return a
+
+
 class UniPoly:
     """Polynomial in one variable with exact rational coefficients."""
 
@@ -81,10 +131,7 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [c if isinstance(c, Fraction) else as_fraction(c) for c in coeffs]
-        # Trim trailing zeros.
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(cs))
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -136,15 +183,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly | int | Fraction") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -156,20 +195,7 @@ class UniPoly:
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.leading()
-        if len(rem) <= d:
-            return UniPoly(()), UniPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[k - d] = q
-            for idx in range(d + 1):
-                rem[k - d + idx] -= q * other.coeffs[idx]
+        quot, rem = _divmod(self.coeffs, other.coeffs)
         return UniPoly(quot), UniPoly(rem)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
@@ -225,9 +251,7 @@ class UniPoly:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return UniPoly(_gcd(a.coeffs, b.coeffs)).monic()
 
 
 def x_pow_minus_one(n: int) -> UniPoly:
@@ -326,62 +350,18 @@ def _divisors(n: int) -> list[int]:
 def _mod_p(p: UniPoly, q: int) -> list[int] | None:
     """Reduce an integer-primitive polynomial mod q; None if a denominator
     or the leading coefficient vanishes."""
-    out = []
-    for c in p.coeffs:
-        if c.denominator % q == 0:
-            return None
-        inv = pow(c.denominator % q, -1, q)
-        out.append((c.numerator % q) * inv % q)
-    while out and out[-1] == 0:
-        out.pop()
-    if len(out) != len(p.coeffs):
-        return None  # degree dropped mod q
-    return out
-
-
-def _polymulmod(a: list[int], b: list[int], mod: list[int], q: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            res[i + j] = (res[i + j] + x * y) % q
-    return _polyrem(res, mod, q)
-
-
-def _polyrem(a: list[int], mod: list[int], q: int) -> list[int]:
-    a = list(a)
-    d = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, q)
-    for k in range(len(a) - 1, d - 1, -1):
-        c = a[k] % q
-        if c == 0:
-            continue
-        f = c * inv_lead % q
-        for idx in range(d + 1):
-            a[k - d + idx] = (a[k - d + idx] - f * mod[idx]) % q
-    while len(a) > d:
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polygcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    """A gcd over GF(q), up to a unit factor."""
-    while b:
-        a, b = b, _polyrem(a, b, q)
-    return a
+    if any(c.denominator % q == 0 for c in p.coeffs):
+        return None
+    out = _trim([c.numerator * pow(c.denominator, -1, q) for c in p.coeffs], q)
+    return out if len(out) == len(p.coeffs) else None  # None: degree dropped mod q
 
 
 def _frobenius_minus_x(e: int, mod: list[int], q: int) -> list[int]:
     """x^(q^e) - x modulo (mod, q), for mod of degree >= 2."""
-    frobenius = square_and_multiply([0, 1], q**e, [1], lambda a, b: _polymulmod(a, b, mod, q))
-    diff = frobenius + [0, 0]
-    diff[1] = (diff[1] - 1) % q
-    while diff and diff[-1] == 0:
-        diff.pop()
-    return diff
+    power = square_and_multiply([0, 1], q**e, [1], lambda a, b: _divmod(_mul(a, b), mod, q)[1])
+    diff = power + [0, 0]
+    diff[1] -= 1
+    return _trim(diff, q)
 
 
 def is_irreducible_mod_p(p: UniPoly, q: int) -> bool | None:
@@ -403,7 +383,7 @@ def is_irreducible_mod_p(p: UniPoly, q: int) -> bool | None:
         return False
     for r in _prime_factors(n):
         diff = _frobenius_minus_x(n // r, coeffs, q)
-        if not diff or len(_polygcd_mod(coeffs, diff, q)) != 1:
+        if not diff or len(_gcd(coeffs, diff, q)) != 1:
             return False
     return True
 

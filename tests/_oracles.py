@@ -276,3 +276,34 @@ def irreducible_mod_q_oracle(p, q: int) -> bool:
     coeffs = [int(c * den) for c in reversed(p.coeffs)]
     _, factors = sp.Poly(coeffs, _X, modulus=q).factor_list()
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == len(coeffs) - 1
+
+
+def _low_first(poly: sp.Poly, convert) -> list:
+    """Coefficients low degree first; [] for the zero polynomial."""
+    return [] if poly.is_zero else [convert(c) for c in reversed(poly.all_coeffs())]
+
+
+def qq_ring_oracle(a, b) -> list[list[Fraction]]:
+    """a * b, a // b, a % b and the monic gcd of two UniPolys (b nonzero),
+    by sympy over QQ; each as Fractions low degree first."""
+    A, B = (
+        sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+                _X, domain="QQ")
+        for p in (a, b)
+    )
+    quot, rem = A.div(B)
+    gcd = A.gcd(B)
+    gcd = gcd if gcd.is_zero else gcd.monic()
+    return [_low_first(P, lambda c: Fraction(int(c.p), int(c.q)))
+            for P in (A * B, quot, rem, gcd)]
+
+
+def gf_ring_oracle(a: list[int], b: list[int], q: int) -> list[list[int]]:
+    """a * b, a // b, a % b and the monic gcd over GF(q) of two integer
+    lists low degree first (b nonzero mod q), by sympy; each with entries
+    in [0, q)."""
+    A, B = (sp.Poly(list(reversed(p)) or [0], _X, modulus=q) for p in (a, b))
+    quot, rem = A.div(B)
+    gcd = A.gcd(B)
+    gcd = gcd if gcd.is_zero else gcd.monic()
+    return [_low_first(P, lambda c: int(c) % q) for P in (A * B, quot, rem, gcd)]

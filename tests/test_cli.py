@@ -373,6 +373,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("obstruct-diameter-1-2", ["obstruct", "diameter", "--p", "1", "--q", "2"], 3),
         ("obstruct-diameter-1-3", ["obstruct", "diameter", "--p", "1", "--q", "3"], 3),
         ("obstruct-diameter-0-1", ["obstruct", "diameter", "--p", "0", "--q", "1"], 3),
+        ("obstruct-cyclic-1", ["obstruct", "cyclic", "--c", "1"], 0),
+        ("obstruct-cyclic-neg1", ["obstruct", "cyclic", "--c=-1"], 0),
     ],
 )
 def test_exact_reports_match_golden_files(tmp_path, capsys, name, argv, exit_code):

@@ -259,6 +259,21 @@ def test_ratio_constant_refuses_curve_with_content_factor():
         ratio_constant_check(parse_poly("(m-2)*(m-b)"), "cyclic")
 
 
+@pytest.mark.parametrize("text", ["(m-b)^2", "(m-b)^2*(m+b+1)", "(m^2-b)^3"])
+def test_ratio_constant_refuses_curve_with_repeated_factor(text):
+    # On m = b the ratio is 1, yet the pseudo-remainders by (m-b)^2 are not
+    # proportional: the division is sound only for a squarefree curve.
+    with pytest.raises(ObstructionError, match="repeated factor in b"):
+        ratio_constant_check(parse_poly(text), "cyclic")
+
+
+@pytest.mark.parametrize("text", ["0", "3", "m*b", "m^2*b^-1"])
+def test_ratio_constant_refuses_constant_and_single_term_curves(text):
+    # Zero is not a curve, and the others have no point in the torus.
+    with pytest.raises(ObstructionError, match="constant or single-term input"):
+        ratio_constant_check(parse_poly(text), "cyclic")
+
+
 def test_ratio_constant_rejects_unknown_kind():
     with pytest.raises(ObstructionError):
         ratio_constant_check(parse_poly("m - b"), "nonsense")
@@ -327,6 +342,9 @@ def test_diameter_verdict_validation():
         diameter_verdict(2, 4)
     with pytest.raises(ObstructionError):
         diameter_verdict(3, 2)
+    # The pair is checked before the budget.
+    with pytest.raises(ObstructionError, match="coprime"):
+        diameter_verdict(2, 2 * MAX_DIAMETER_Q)
 
 
 @pytest.mark.parametrize("q", [MAX_DIAMETER_Q + 1, 4001, 10**9 + 1])

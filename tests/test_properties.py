@@ -1,7 +1,7 @@
 """Property-based suites: ring axioms, polygon additivity, norm axioms,
-the parser round trip, the root-of-unity scan, the tangent at the origin
-and the modular irreducibility test.  Each suite runs at least 200
-generated cases."""
+the parser round trip, the root-of-unity scan, the tangent at the origin,
+the modular irreducibility test and the coefficient-list core over Q and
+GF(q).  Each suite runs at least 200 generated cases."""
 
 import math
 from fractions import Fraction
@@ -18,15 +18,18 @@ from slopesmith import (
     eval_norm,
     newton_polygon,
     parse_poly,
+    poly_gcd,
     tangent_at_origin,
     unity_order,
 )
-from slopesmith.unipoly import _CERT_PRIMES, is_irreducible_mod_p
+from slopesmith.unipoly import _CERT_PRIMES, _divmod, _gcd, _mul, is_irreducible_mod_p
 from _oracles import (
     brute_hull,
     cyclotomic_coeffs,
+    gf_ring_oracle,
     irreducible_mod_q_oracle,
     minkowski_sum_hull,
+    qq_ring_oracle,
     unity_orders_oracle,
 )
 
@@ -239,3 +242,50 @@ def test_irreducible_mod_p_refuses_degenerate_reductions():
     assert is_irreducible_mod_p(UniPoly([Fraction(1, 3), 0, 1]), 3) is None
     assert is_irreducible_mod_p(UniPoly([1, 1, 0, 3]), 3) is None
     assert is_irreducible_mod_p(UniPoly([1, 0, 14]), 7) is None
+
+
+uni_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+uni_polys = st.lists(uni_coeffs, max_size=6).map(UniPoly)
+nonzero_uni_polys = st.builds(
+    lambda low, lead: UniPoly(low + [lead]), st.lists(uni_coeffs, max_size=4), nonzero_coeffs
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uni_polys, nonzero_uni_polys, nonzero_uni_polys)
+def test_unipoly_arithmetic_matches_sympy_suite(a, b, g):
+    a, b = a * g, b * g  # a shared factor, so that many gcds are nontrivial
+    product, quot, rem, gcd = qq_ring_oracle(a, b)
+    assert list((a * b).coeffs) == product
+    assert divmod(a, b) == (UniPoly(quot), UniPoly(rem))
+    assert list(poly_gcd(a, b).coeffs) == gcd
+
+
+@st.composite
+def gf_pairs(draw):
+    """(a, b, q): q a certificate prime, a and b trimmed lists over GF(q)
+    with b nonzero, sharing a factor half of the time."""
+    q = draw(st.sampled_from(_CERT_PRIMES))
+    low = st.lists(st.integers(0, q - 1), max_size=6)
+    lead = st.integers(1, q - 1)
+    a = draw(low)
+    while a and a[-1] == 0:
+        a.pop()
+    b = draw(low) + [draw(lead)]
+    if draw(st.booleans()):
+        g = draw(low) + [draw(lead)]
+        a, b = gf_ring_oracle(a, g, q)[0], gf_ring_oracle(b, g, q)[0]
+    return a, b, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf_pairs())
+def test_gf_core_matches_sympy_suite(case):
+    a, b, q = case
+    product, quot, rem, gcd = gf_ring_oracle(a, b, q)
+    assert [c % q for c in _mul(a, b)] == product
+    assert _divmod(a, b, q) == (quot, rem)
+    # Rabin's test divides unreduced products, as here.
+    assert _divmod(_mul(a, b), b, q) == (a, [])
+    g = _gcd(a, b, q)
+    assert [c * pow(g[-1], -1, q) % q for c in g] == gcd
