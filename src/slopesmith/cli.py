@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import math
 import re
@@ -314,72 +315,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="polygon/slope/norm report for a curve")
-    pa.add_argument("--poly", required=True, help="corpus entry name or .poly file")
-    pa.add_argument("--vars", default=None, help="variable labels: m,b or m,l")
-    pa.add_argument("--out", default=None, help="base path for BASE.txt/BASE.json")
+    @contextlib.contextmanager
+    def command(subparsers, name, run, **kwargs):
+        leaf = subparsers.add_parser(name, **kwargs)
+        yield leaf  # the with-block declares the leaf's own flags, before --out
+        leaf.add_argument("--out", default=None, help="base path for BASE.txt/BASE.json")
+        leaf.set_defaults(run=run)
+
+    with command(sub, "analyze", _run_analyze, help="polygon/slope/norm report for a curve") as pa:
+        pa.add_argument("--poly", required=True, help="corpus entry name or .poly file")
+        pa.add_argument("--vars", default=None, help="variable labels: m,b or m,l")
 
     po = sub.add_parser("obstruct", help="run an obstruction pipeline")
     pos = po.add_subparsers(dest="pipeline", required=True)
-    pc = pos.add_parser("cyclic")
-    pc.add_argument("--c", required=True, help="rational eigenvalue-ratio constant")
-    pc.add_argument("--bound", type=int, default=120, help="root-of-unity scan bound")
-    pc.add_argument("--out", default=None)
-    pd = pos.add_parser("diameter")
-    pd.add_argument("--p", type=int, required=True)
-    pd.add_argument("--q", type=int, required=True)
-    pd.add_argument("--out", default=None)
+    with command(pos, "cyclic", _run_obstruct) as pc:
+        pc.add_argument("--c", required=True, help="rational eigenvalue-ratio constant")
+        pc.add_argument("--bound", type=int, default=120, help="root-of-unity scan bound")
+    with command(pos, "diameter", _run_obstruct) as pd:
+        pd.add_argument("--p", type=int, required=True)
+        pd.add_argument("--q", type=int, required=True)
 
     pv = sub.add_parser("volume", help="hyperbolic volume computations")
     pvs = pv.add_subparsers(dest="kind", required=True)
-    pl = pvs.add_parser("lobachevsky")
-    pl.add_argument("--theta", required=True, help="radians; accepts pi/3 forms")
-    pl.add_argument("--out", default=None)
-    pt = pvs.add_parser("tet")
-    pt.add_argument("--side", type=float, default=None)
-    pt.add_argument("--ideal-regular", dest="ideal_regular", action="store_true")
-    pt.add_argument("--tol", type=float, default=1e-6)
-    pt.add_argument("--out", default=None)
-    pdc = pvs.add_parser("decay")
-    pdc.add_argument("--from", dest="from_side", type=float, required=True)
-    pdc.add_argument("--to", dest="to_side", type=float, required=True)
-    pdc.add_argument("--step", type=float, default=2.0)
-    pdc.add_argument("--tol", type=float, default=1e-8)
-    pdc.add_argument("--out", default=None)
-    pe = pvs.add_parser("eta")
-    pe.add_argument("--poly", required=True)
-    pe.add_argument("--loop", default=None, help="loop preset: small")
-    pe.add_argument("--m-path", dest="m_path", default=None,
-                    help="comma-separated complex waypoints, e.g. 1.2,1.3+0.1j")
-    pe.add_argument("--branch", type=int, default=0)
-    pe.add_argument("--step", type=float, default=0.005)
-    pe.add_argument("--tol", type=float, default=1e-9)
-    pe.add_argument("--out", default=None)
+    with command(pvs, "lobachevsky", _run_lobachevsky) as pl:
+        pl.add_argument("--theta", required=True, help="radians; accepts pi/3 forms")
+    with command(pvs, "tet", _run_tet) as pt:
+        pt.add_argument("--side", type=float, default=None)
+        pt.add_argument("--ideal-regular", dest="ideal_regular", action="store_true")
+        pt.add_argument("--tol", type=float, default=1e-6)
+    with command(pvs, "decay", _run_decay) as pdc:
+        pdc.add_argument("--from", dest="from_side", type=float, required=True)
+        pdc.add_argument("--to", dest="to_side", type=float, required=True)
+        pdc.add_argument("--step", type=float, default=2.0)
+        pdc.add_argument("--tol", type=float, default=1e-8)
+    with command(pvs, "eta", _run_eta) as pe:
+        pe.add_argument("--poly", required=True)
+        pe.add_argument("--loop", default=None, help="loop preset: small")
+        pe.add_argument("--m-path", help="comma-separated complex waypoints, e.g. 1.2,1.3+0.1j")
+        pe.add_argument("--branch", type=int, default=0)
+        pe.add_argument("--step", type=float, default=0.005)
+        pe.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 
 
-_HANDLERS = {
-    ("analyze", None): _run_analyze,
-    ("obstruct", "cyclic"): _run_obstruct,
-    ("obstruct", "diameter"): _run_obstruct,
-    ("volume", "lobachevsky"): _run_lobachevsky,
-    ("volume", "tet"): _run_tet,
-    ("volume", "decay"): _run_decay,
-    ("volume", "eta"): _run_eta,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    key = (args.command, getattr(args, "pipeline", None) or getattr(args, "kind", None))
     try:
-        text, payload, code = _HANDLERS[key](args)
+        text, payload, code = args.run(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         write_report(args.out, text, payload)
     return code
 

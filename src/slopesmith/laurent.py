@@ -22,6 +22,7 @@ identifier, not a product.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import comb
 from typing import Mapping
@@ -385,68 +386,52 @@ class LaurentPoly2:
 # -- parsing ----------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int]:
-        """Return (kind, value, position) without consuming."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            return ("int", self.text[self.pos : end], self.pos)
-        if ch.isalpha() or ch == "_":
-            end = self.pos
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                end += 1
-            return ("name", self.text[self.pos : end], self.pos)
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        raise PolyParseError(f"unexpected character {ch!r}", self.pos)
-
-    def next(self) -> tuple[str, str, int]:
-        kind, value, pos = self.peek()
-        if kind != "end":
-            self.pos = pos + len(value)
-        return (kind, value, pos)
+# Tokens: integer, name, operator (its own kind), any other character, end of text.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()])|(.)|$)", re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str, var_names: tuple[str, str]):
-        self.toks = _Tokenizer(text)
+        self.tokens = [
+            (("int", "name", m[3], "bad")[m.lastindex - 1], m[m.lastindex], m.start(m.lastindex))
+            if m.lastindex else ("end", "", m.end())
+            for m in _TOKEN.finditer(text)
+        ]
+        self.index = 0
         self.var_names = var_names
+
+    def peek(self) -> tuple[str, str, int]:
+        """Return (kind, value, position) without consuming."""
+        kind, value, pos = token = self.tokens[self.index]
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {value!r}", pos)
+        return token
+
+    def next(self) -> tuple[str, str, int]:
+        token = self.peek()
+        if token[0] != "end":
+            self.index += 1
+        return token
 
     def parse(self) -> LaurentPoly2:
         result = self._expr()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected {value!r}", pos)
         return result
 
     def _expr(self) -> LaurentPoly2:
-        kind, _, _ = self.toks.peek()
-        sign = 1
+        kind, _, _ = self.peek()
         if kind in ("+", "-"):
-            self.toks.next()
-            sign = -1 if kind == "-" else 1
-        total = self._term() * sign
+            self.next()
+        total = self._term() * (-1 if kind == "-" else 1)
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, _ = self.peek()
             if kind == "+":
-                self.toks.next()
+                self.next()
                 total = total + self._term()
             elif kind == "-":
-                self.toks.next()
+                self.next()
                 total = total - self._term()
             else:
                 return total
@@ -454,9 +439,9 @@ class _Parser:
     def _term(self) -> LaurentPoly2:
         product = self._factor()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, _ = self.peek()
             if kind == "*":
-                self.toks.next()
+                self.next()
             elif kind not in ("int", "name", "("):
                 return product
             # A factor follows "*" or is juxtaposed, e.g. "3 m^2 b".
@@ -470,15 +455,14 @@ class _Parser:
 
     def _factor(self) -> LaurentPoly2:
         base = self._atom()
-        kind, _, _ = self.toks.peek()
+        kind, _, _ = self.peek()
         if kind != "^":
             return base
-        self.toks.next()
-        kind, value, pos = self.toks.next()
-        negative = False
-        if kind == "-":
-            negative = True
-            kind, value, pos = self.toks.next()
+        self.next()
+        kind, value, pos = self.next()
+        negative = kind == "-"
+        if negative:
+            kind, value, pos = self.next()
         if kind != "int":
             raise PolyParseError("exponent must be an integer", pos)
         exp = int(value)
@@ -496,35 +480,28 @@ class _Parser:
             raise PolyParseError(str(err), pos) from err
 
     def _atom(self) -> LaurentPoly2:
-        kind, value, pos = self.toks.next()
+        kind, value, pos = self.next()
         if kind == "int":
-            num = int(value)
-            nk, _, _ = self.toks.peek()
-            if nk == "/":
-                self.toks.next()
-                dk, dval, dpos = self.toks.next()
-                if dk != "int" or int(dval) == 0:
-                    raise PolyParseError("denominator must be a positive integer", dpos)
-                return LaurentPoly2.constant(Fraction(num, int(dval)), self.var_names)
-            return LaurentPoly2.constant(num, self.var_names)
+            if self.peek()[0] != "/":
+                return LaurentPoly2.constant(int(value), self.var_names)
+            self.next()
+            dk, dval, dpos = self.next()
+            if dk != "int" or int(dval) == 0:
+                raise PolyParseError("denominator must be a positive integer", dpos)
+            return LaurentPoly2.constant(Fraction(int(value), int(dval)), self.var_names)
         if kind == "name":
-            if value == self.var_names[0]:
-                return LaurentPoly2.variable(0, self.var_names)
-            if value == self.var_names[1]:
-                return LaurentPoly2.variable(1, self.var_names)
-            raise PolyParseError(f"unknown variable {value!r}", pos)
+            if value not in self.var_names:
+                raise PolyParseError(f"unknown variable {value!r}", pos)
+            return LaurentPoly2.variable(self.var_names.index(value), self.var_names)
         if kind == "(":
             inner = self._expr()
-            ck, _, cpos = self.toks.next()
+            ck, _, cpos = self.next()
             if ck != ")":
                 raise PolyParseError("expected ')'", cpos)
             return inner
-        raise PolyParseError(
-            "expected a coefficient, variable or parenthesized group"
-            if kind != "end"
-            else "unexpected end of input",
-            pos,
-        )
+        if kind == "end":
+            raise PolyParseError("unexpected end of input", pos)
+        raise PolyParseError("expected a coefficient, variable or parenthesized group", pos)
 
 
 def _terms_bound(*powers: tuple[LaurentPoly2, int]) -> int:

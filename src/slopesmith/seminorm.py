@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .newton import EdgeSlope, NewtonPolygon, DegeneratePolygonError, _cross, is_parallelogram
@@ -131,20 +130,12 @@ def eval_norm(seminorm: Seminorm, cls: PeripheralClass) -> Fraction:
     return seminorm.evaluate(cls)
 
 
-def _ccw_compare(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> int:
-    def half(w):
-        # 0 for angles in [0, pi), 1 for [pi, 2*pi).
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = _cross((0, 0), u, v)
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+def _ccw_key(v: tuple[Fraction, Fraction]) -> tuple:
+    """Counter-clockwise order from the positive x-axis: the half-plane of
+    angles [0, pi) before [pi, 2*pi), then its axis ray, then -x/y ascending."""
+    x, y = v
+    half = 0 if y > 0 or (y == 0 and x > 0) else 1
+    return (half, 0) if y == 0 else (half, 1, -x / y)
 
 
 def ball_polygon(seminorm: Seminorm) -> NormBall:
@@ -174,7 +165,7 @@ def ball_polygon(seminorm: Seminorm) -> NormBall:
         scale = radius / nk
         vertices.add((scale * k.a, scale * k.b))
         vertices.add((-scale * k.a, -scale * k.b))
-    ordered = sorted(vertices, key=cmp_to_key(_ccw_compare))
+    ordered = sorted(vertices, key=_ccw_key)
     return NormBall(tuple(ordered), radius)
 
 

@@ -230,6 +230,17 @@ def brute_quadratic_reducible(a2: sp.Expr, a1: sp.Expr, a0: sp.Expr, gen) -> boo
     return False
 
 
+def irreducible_over_q_oracle(poly) -> bool:
+    """Whether a LaurentPoly2 with nonnegative exponents is irreducible over
+    Q[x, y]: whether sympy's factor_list finds exactly one factor, of
+    multiplicity one (a monomial factor counts as a factor)."""
+    x, y = sp.symbols(poly.var_names)
+    expr = sum(sp.Rational(c.numerator, c.denominator) * x**i * y**j
+               for (i, j), c in poly.terms.items())
+    _, factors = sp.factor_list(expr, x, y)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
 def is_parallelogram(vertices) -> bool:
     """Exact check that four ordered vertices bound a parallelogram."""
     if len(vertices) != 4:

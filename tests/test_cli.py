@@ -78,6 +78,14 @@ def test_analyze_product_past_term_budget_exits_two(tmp_path, capsys):
     assert "expands past" in err
 
 
+def test_analyze_superscript_digit_exits_two(tmp_path, capsys):
+    f = tmp_path / "sup.poly"
+    f.write_text("vars: m b\nm^\u00b2 + b\n")
+    code, _, err = run(capsys, "analyze", "--poly", str(f))
+    assert code == 2
+    assert "exponent must be an integer (at position 2)" in err
+
+
 def test_obstruct_cyclic_contradiction_exit_three(capsys):
     code, out, _ = run(capsys, "obstruct", "cyclic", "--c", "2")
     assert code == 3

@@ -169,7 +169,8 @@ def test_str_roundtrip_canonical_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "m +", "x + y", "m^", "m**2", "3/0*m", "m^1.5"):
+    # "²" passes str.isdigit but not int(): it must scan as text, not as a number.
+    for bad in ("", "m +", "x + y", "m^", "m**2", "3/0*m", "m^1.5", "m^²", "²*b", "3/0²"):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 

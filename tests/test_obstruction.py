@@ -27,7 +27,7 @@ from slopesmith import (
     tree_invariants,
 )
 from slopesmith.obstruction import MAX_DIAMETER_Q
-from _oracles import brute_quadratic_reducible
+from _oracles import brute_quadratic_reducible, irreducible_over_q_oracle
 
 
 def test_eigenvalue_ratio_curve_terms():
@@ -120,6 +120,25 @@ def test_irreducibility_generic_ratio_matches_brute_oracle(c):
 def test_irreducibility_of_binomial_product():
     rep = irreducibility_check(parse_poly("1 - m - b + m*b"))
     assert rep.status == "factors"
+
+
+@pytest.mark.parametrize("p, q, c", [(2, 5, 1), (3, 7, Fraction(3, 2)), (2, 3, -1)])
+def test_irreducibility_certified_by_specialization(p, q, c):
+    curve = prescribed_slope_curve(p, q, c)
+    rep = irreducibility_check(curve)
+    assert rep.status == "irreducible"
+    assert rep.witness is None
+    assert rep.detail.startswith("specialization at m = 2 ")
+    assert irreducible_over_q_oracle(curve)
+
+
+@pytest.mark.parametrize("text", ["((b-m)^2-5)^2-24", "(b^3+m*b+1)*(b^3-m^2*b+2)"])
+def test_irreducibility_without_certificate_is_inconclusive(text):
+    # Every specialization of the first is reducible modulo every prime;
+    # the second factors, and no route here finds the factors.
+    rep = irreducibility_check(parse_poly(text))
+    assert rep.status == "inconclusive"
+    assert rep.witness is None
 
 
 def test_tangent_at_origin_canonical_form():

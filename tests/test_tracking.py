@@ -141,6 +141,28 @@ def test_track_metadata_and_sample_density():
     assert spacing <= 0.01 + 1e-12
 
 
+def test_track_halves_coarse_steps_onto_the_fine_path():
+    poly = _fig8()
+    a, z = 0.4 + 0.05j, 1.0 + 0.05j
+    for b0 in fiber_roots(poly, a):
+        coarse = track_curve(poly, (a, b0), [a, z], step=0.1)
+        fine = track_curve(poly, (a, b0), [a, z], step=0.001)
+        assert coarse.metadata["halvings"] > 0
+        assert fine.metadata["halvings"] == 0
+        assert coarse.samples[-1][0] == fine.samples[-1][0] == z
+        assert abs(coarse.samples[-1][1] - fine.samples[-1][1]) < 1e-9 * abs(fine.samples[-1][1])
+
+
+def test_track_refuses_a_crossing_of_a_discriminant_root():
+    # m^2 + m - 1 divides the discriminant of the fig8 curve in b, so its
+    # root r is a branch point: every halving there stays ambiguous.
+    poly = _fig8()
+    r = (5**0.5 - 1) / 2
+    b0 = fiber_roots(poly, r - 0.05)[0]
+    with pytest.raises(DiscriminantCollisionError, match="after 40 halvings"):
+        track_curve(poly, (r - 0.05, b0), [r - 0.05, r + 0.05], step=0.01)
+
+
 def test_reversed_path_negates_the_integral():
     poly = _fig8()
     b0 = fiber_roots(poly, 1.15)[0]
