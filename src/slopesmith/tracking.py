@@ -1,28 +1,29 @@
 """Numerical continuation of plane-curve branches and line integration.
 
-A branch of {A = 0} is followed by specializing A at each waypoint of a
-path in the first variable, solving the resulting univariate polynomial
-by companion-matrix eigenvalues (``np.roots``, backward stable), polishing
-with three Newton steps, and picking the root nearest the previous sample.
-Ambiguity (the previous value sits near the Voronoi boundary between two
-roots) triggers step halving; persistent ambiguity is an error, never a
-silent branch choice.
+A branch of {A = 0} is followed along a path in the first variable.  The
+curve's coefficients are converted to one complex table once per call; at
+each waypoint the fiber polynomial is read off that table, solved by
+companion-matrix eigenvalues (``np.roots``, backward stable), polished
+with three Newton steps of a Horner pass, and the root nearest the
+previous sample is picked.  Ambiguity (the previous value sits near the
+Voronoi boundary between two roots) triggers step halving; persistent
+ambiguity is an error, never a silent branch choice.  A fiber polynomial
+that overflows, or a residual that is not below the tolerance (NaN
+included), is refused.
 
-The tracked samples support the trapezoidal line integral of the 1-form
-log|a| d(arg b) - log|b| d(arg a), whose -1/2 multiple measures volume
-change along the branch.
+The tracked samples are stored in arrays and support the trapezoidal
+line integral of the 1-form log|a| d(arg b) - log|b| d(arg a), whose -1/2
+multiple measures volume change along the branch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .laurent import LaurentPoly2
-from .unipoly import UniPoly
 
 
 # One track_curve request takes at most this many steps, summed over its
@@ -49,52 +50,91 @@ class RefinementNeededError(TrackingError):
     """Consecutive samples turn a coordinate argument by more than pi/2."""
 
 
-@dataclass(frozen=True)
 class CurvePath:
-    """Ordered samples approximately on {A = 0}, with their residuals."""
+    """Ordered samples approximately on {A = 0}, with their residuals.
 
-    samples: tuple[tuple[complex, complex], ...]
-    poly: LaurentPoly2
-    residual_tol: float
-    residuals: tuple[float, ...]
-    metadata: dict = field(default_factory=dict)
+    The samples are held as one (n, 2) complex array and the residuals as
+    one float array; ``samples`` and ``residuals`` return them as tuples.
+    """
 
-    def __post_init__(self):
-        if len(self.samples) != len(self.residuals):
+    __slots__ = ("_points", "_residuals", "poly", "residual_tol", "metadata")
+
+    def __init__(self, samples, poly: LaurentPoly2, residual_tol: float, residuals,
+                 metadata: dict | None = None):
+        # Copied after the reshape, so the path holds no view of a base array.
+        points = np.array(np.reshape(samples, (len(samples), 2)), dtype=complex)
+        res = np.array(residuals, dtype=float)
+        if len(points) != len(res):
             raise TrackingError("one residual per sample required")
-        if any(r > self.residual_tol for r in self.residuals):
+        if not (res <= residual_tol).all():
             raise TrackingError("a sample violates the residual tolerance")
+        if not (np.isfinite(points).all() and points.all()):
+            raise TrackingError("sample coordinates must be finite and nonzero")
+        points.flags.writeable = res.flags.writeable = False
+        self._points, self._residuals = points, res
+        self.poly, self.residual_tol = poly, residual_tol
+        self.metadata = {} if metadata is None else metadata
+
+    @property
+    def samples(self) -> tuple[tuple[complex, complex], ...]:
+        return tuple(map(tuple, self._points.tolist()))
+
+    @property
+    def residuals(self) -> tuple[float, ...]:
+        return tuple(self._residuals.tolist())
 
     def reversed(self) -> "CurvePath":
-        return CurvePath(
-            self.samples[::-1],
-            self.poly,
-            self.residual_tol,
-            self.residuals[::-1],
-            dict(self.metadata),
-        )
+        return CurvePath(self._points[::-1], self.poly, self.residual_tol,
+                         self._residuals[::-1], dict(self.metadata))
 
 
-def _relative_residual(poly: LaurentPoly2, point: tuple[complex, complex]) -> float:
-    a, b = point
-    if a == 0 or b == 0:
-        return math.inf
-    value = 0j
-    scale = 0.0
-    for (i, j), c in poly.terms.items():
-        mono = (a**i) * (b**j)
-        value += complex(c) * mono
-        scale += abs(c) * abs(a) ** i * abs(b) ** j
-    return abs(value) / scale if scale > 0 else math.inf
+def _horner(coeffs: list, x):
+    """Value and derivative at x of the descending coefficient list."""
+    value, deriv = coeffs[0], 0.0
+    for c in coeffs[1:]:
+        deriv = deriv * x + value
+        value = value * x + c
+    return value, deriv
 
 
-def _solve_fiber(cmap: dict[int, UniPoly], m: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The fiber polynomial over m (descending coefficients) and its roots."""
-    if max(cmap) < 1:
-        raise TrackingError("the curve polynomial must involve the second variable")
-    coeffs = np.zeros(max(cmap) + 1, dtype=complex)
-    for j, f in cmap.items():
-        coeffs[-1 - j] = complex(f.evaluate(m))
+class _FiberTable:
+    """The curve's coefficients, converted to complex once per call.
+
+    Row k of ``rows`` holds the coefficient of b^(deg_b - k), ascending in
+    m, so ``rows @ m**exps`` is the fiber polynomial over m, descending in b.
+    """
+
+    __slots__ = ("rows", "abs_rows", "exps")
+
+    def __init__(self, poly: LaurentPoly2):
+        terms = poly.normalize().terms
+        deg_m = max((i for i, _ in terms), default=0)
+        deg_b = max((j for _, j in terms), default=0)
+        if deg_b < 1:
+            raise TrackingError("the curve polynomial must involve the second variable")
+        self.rows = np.zeros((deg_b + 1, deg_m + 1), dtype=complex)
+        for (i, j), c in terms.items():
+            self.rows[deg_b - j, i] = float(c)
+        self.abs_rows = np.abs(self.rows)
+        self.exps = np.arange(deg_m + 1)
+
+    def fiber(self, m: complex) -> np.ndarray:
+        """The fiber polynomial over m, descending coefficients."""
+        coeffs = self.rows @ m**self.exps
+        if not np.isfinite(coeffs).all():
+            raise TrackingError(f"the fiber polynomial over {m} overflows")
+        return coeffs
+
+    def residual(self, coeffs: list, m: complex, b: complex) -> float:
+        """|A(m, b)| over the sum of |term| at (m, b); the monomial shift of
+        ``normalize`` cancels in the ratio."""
+        if m == 0 or b == 0:
+            return math.inf
+        scale = _horner((self.abs_rows @ abs(m) ** self.exps).tolist(), abs(b))[0]
+        return abs(_horner(coeffs, b)[0]) / scale if scale > 0 else math.inf
+
+
+def _roots(coeffs: np.ndarray, m: complex) -> np.ndarray:
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise TrackingError(f"the curve contains the whole fiber over {m}")
@@ -102,7 +142,7 @@ def _solve_fiber(cmap: dict[int, UniPoly], m: complex) -> tuple[np.ndarray, np.n
         raise DiscriminantCollisionError(
             f"leading coefficient vanishes near {m}: a root escapes to infinity"
         )
-    return coeffs, np.roots(coeffs)
+    return np.roots(coeffs)
 
 
 def _select_root(roots: np.ndarray, previous: complex):
@@ -116,14 +156,13 @@ def _select_root(roots: np.ndarray, previous: complex):
     return pick
 
 
-def _polish(coeffs: np.ndarray, b: complex) -> complex:
-    """Three Newton steps on a root of the descending coefficient vector."""
-    dp = np.polyder(coeffs)
+def _polish(coeffs: list, b: complex) -> complex:
+    """Three Newton steps on a root of the descending coefficient list."""
     for _ in range(3):
-        dv = np.polyval(dp, b)
-        if dv == 0:
+        value, deriv = _horner(coeffs, b)
+        if deriv == 0:
             break
-        b = b - np.polyval(coeffs, b) / dv
+        b = b - value / deriv
     return b
 
 
@@ -132,8 +171,9 @@ def fiber_roots(poly: LaurentPoly2, m: complex) -> list[complex]:
     m = complex(m)
     if not cmath.isfinite(m):
         raise TrackingError(f"first coordinate must be finite, got {m}")
-    coeffs, roots = _solve_fiber(poly.normalize().coeff_polys(1), m)
-    polished = [_polish(coeffs, complex(r)) for r in roots]
+    coeffs = _FiberTable(poly).fiber(m)
+    coeff_list = coeffs.tolist()
+    polished = [_polish(coeff_list, r) for r in _roots(coeffs, m).tolist()]
     return sorted(polished, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
@@ -171,23 +211,24 @@ def track_curve(
         raise TrackingError(
             f"the path needs more than {MAX_TRACK_STEPS} steps of size {step}"
         )
-    first_residual = _relative_residual(poly, (a0, b0))
-    if first_residual > residual_tol:
+    table = _FiberTable(poly)
+    start_coeffs = table.fiber(a0)
+    first_residual = table.residual(start_coeffs.tolist(), a0, b0)
+    if not first_residual <= residual_tol:
         raise TrackingError(
             f"start point residual {first_residual:.3g} exceeds {residual_tol:.3g}"
         )
-
-    cmap = poly.normalize().coeff_polys(1)
-    samples = [(a0, b0)]
-    residuals = [first_residual]
-    if _select_root(_solve_fiber(cmap, a0)[1], b0) is None:
+    if _select_root(_roots(start_coeffs, a0), b0) is None:
         raise DiscriminantCollisionError("start point lies between two close roots")
+
+    ms, bs, residuals = [a0], [b0], [first_residual]
     halvings_used = 0
 
     def advance(m_new: complex, b_prev: complex, depth: int) -> None:
         nonlocal halvings_used
+        coeffs = table.fiber(m_new)
         try:
-            coeffs, roots_new = _solve_fiber(cmap, m_new)
+            roots_new = _roots(coeffs, m_new)
             choice = _select_root(roots_new, b_prev)
         except DiscriminantCollisionError:
             choice = None
@@ -197,31 +238,28 @@ def track_curve(
                     f"ambiguous branch near {m_new} after {MAX_HALVINGS} halvings"
                 )
             halvings_used += 1
-            mid = (samples[-1][0] + m_new) / 2.0
-            advance(mid, samples[-1][1], depth + 1)
-            advance(m_new, samples[-1][1], depth + 1)
+            mid = (ms[-1] + m_new) / 2.0
+            advance(mid, bs[-1], depth + 1)
+            advance(m_new, bs[-1], depth + 1)
             return
-        b_new = _polish(coeffs, complex(roots_new[choice]))
-        res = _relative_residual(poly, (m_new, b_new))
-        if res > residual_tol:
+        coeff_list = coeffs.tolist()
+        b_new = _polish(coeff_list, roots_new[choice].item())
+        res = table.residual(coeff_list, m_new, b_new)
+        if not res <= residual_tol:
             raise RootSolveError(
                 f"residual {res:.3g} at {m_new} exceeds {residual_tol:.3g}"
             )
-        samples.append((m_new, b_new))
+        ms.append(m_new)
+        bs.append(b_new)
         residuals.append(res)
 
     for seg_start, seg_end, n_steps in zip(waypoints, waypoints[1:], seg_steps):
         for k in range(1, n_steps + 1):
             target = seg_start + (seg_end - seg_start) * (k / n_steps)
-            advance(target, samples[-1][1], 0)
+            advance(target, bs[-1], 0)
 
-    return CurvePath(
-        tuple(samples),
-        poly,
-        residual_tol,
-        tuple(residuals),
-        {"step": step, "halvings": halvings_used, "waypoints": len(waypoints)},
-    )
+    metadata = {"step": step, "halvings": halvings_used, "waypoints": len(waypoints)}
+    return CurvePath(np.column_stack((ms, bs)), poly, residual_tol, residuals, metadata)
 
 
 def integrate_volume_form(path: CurvePath) -> float:
@@ -232,28 +270,17 @@ def integrate_volume_form(path: CurvePath) -> float:
     continuous branch of arg, and refinement is requested instead of
     guessing.
     """
-    pts = path.samples
+    pts = path._points
     if len(pts) < 2:
         return 0.0
-    log_a = [math.log(abs(a)) for a, _ in pts]
-    log_b = [math.log(abs(b)) for _, b in pts]
-    d_arg_a = []
-    d_arg_b = []
-    for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
-        da = cmath.phase(a1 / a0)
-        db = cmath.phase(b1 / b0)
-        if abs(da) > math.pi / 2 or abs(db) > math.pi / 2:
-            raise RefinementNeededError(
-                "argument jump exceeds pi/2 between consecutive samples; "
-                "refine the path"
-            )
-        d_arg_a.append(da)
-        d_arg_b.append(db)
-    total = 0.0
-    for k in range(len(pts) - 1):
-        total += 0.5 * (log_a[k] + log_a[k + 1]) * d_arg_b[k]
-        total -= 0.5 * (log_b[k] + log_b[k + 1]) * d_arg_a[k]
-    return total
+    d_arg = np.angle(pts[1:] / pts[:-1])
+    if (np.abs(d_arg) > math.pi / 2).any():
+        raise RefinementNeededError(
+            "argument jump exceeds pi/2 between consecutive samples; "
+            "refine the path"
+        )
+    log_mid = 0.5 * (np.log(np.abs(pts[1:])) + np.log(np.abs(pts[:-1])))
+    return float(log_mid[:, 0] @ d_arg[:, 1] - log_mid[:, 1] @ d_arg[:, 0])
 
 
 def volume_change(path: CurvePath) -> float:

@@ -113,6 +113,30 @@ def schlafli_regular_volume(side: float) -> float:
         return float(mp.re(ideal - 3 * mp.quad(edge, [mp.pi / 3, alpha])))
 
 
+def bloch_wigner(z) -> float:
+    """The Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1 - z) log|z|."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        return float(mp.im(mp.polylog(2, z)) + mp.arg(1 - z) * mp.log(abs(z)))
+
+
+def fig8_shape_volume(m, l) -> float:
+    """Volume D(z) + D(w) of the figure-8 knot complement's two ideal
+    tetrahedra at the point (m, l) of its eigenvalue curve.
+
+    The shapes satisfy l = -z(1 - z), m^2 = w(1 - z) and the edge equation
+    z(1 - z)w(1 - w) = 1 (Neumann & Zagier, Topology 24, 1985); of the two
+    roots z of z^2 - z - l, the one that best satisfies the edge equation
+    is taken.
+    """
+    with mp.workdps(30):
+        m, l = mp.mpc(m), mp.mpc(l)
+        disc = mp.sqrt(1 + 4 * l)
+        shapes = [(z, m**2 / (1 - z)) for z in ((1 + disc) / 2, (1 - disc) / 2)]
+        z, w = min(shapes, key=lambda zw: abs(zw[0] * (1 - zw[0]) * zw[1] * (1 - zw[1]) - 1))
+        return bloch_wigner(z) + bloch_wigner(w)
+
+
 def face_angles_mp(vertices) -> list[list[float]]:
     """All 12 face angles of a Klein tetrahedron at 50 digits, rows as in
     the library (face f omits vertex f; angles at its vertices in index order).

@@ -1,15 +1,22 @@
 """Unit tests for numerical curve tracking and the volume-form integral."""
 
+import cmath
+import math
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
+from _oracles import bloch_wigner, fig8_shape_volume
 
 from slopesmith import (
+    REGULAR_IDEAL_VOLUME,
     CurvePath,
     DiscriminantCollisionError,
+    LaurentPoly2,
     RefinementNeededError,
     TrackingError,
+    UniPoly,
     fiber_roots,
     integrate_volume_form,
     load_corpus_entry,
@@ -209,6 +216,63 @@ def test_curve_path_validation():
             residual_tol=1e-9,
             residuals=(1e-3,),
         )
+    with pytest.raises(TrackingError, match="violates the residual tolerance"):
+        CurvePath(
+            samples=((1.2 + 0j, b0),),
+            poly=poly,
+            residual_tol=1e-9,
+            residuals=(float("nan"),),
+        )
+
+
+@pytest.mark.parametrize("bad", [0j, complex("nan"), complex(0, float("inf"))])
+def test_curve_path_refuses_zero_or_non_finite_coordinates(bad):
+    # Each would make the volume-form integral NaN or infinite.
+    poly = _fig8()
+    b0 = fiber_roots(poly, 1.2)[0]
+    with pytest.raises(TrackingError, match="finite and nonzero"):
+        CurvePath(
+            samples=((1.2 + 0j, b0), (bad, b0)),
+            poly=poly,
+            residual_tol=1e-9,
+            residuals=(0.0, 0.0),
+        )
+
+
+def test_curve_path_gives_back_python_tuples():
+    poly = _fig8()
+    b0 = fiber_roots(poly, 1.2)[0]
+    path = track_curve(poly, (1.2, b0), [1.2, 1.25], step=0.01)
+    assert type(path.samples) is tuple and type(path.residuals) is tuple
+    assert all(type(s) is tuple and len(s) == 2 for s in path.samples)
+    assert all(type(z) is complex for s in path.samples for z in s)
+    assert all(type(r) is float for r in path.residuals)
+    assert path.samples[0] == (1.2, b0)
+    assert path.reversed().samples == path.samples[::-1]
+    assert path.reversed().residuals == path.residuals[::-1]
+    assert path.reversed().reversed().samples == path.samples
+    rebuilt = CurvePath(
+        samples=path.samples,
+        poly=path.poly,
+        residual_tol=path.residual_tol,
+        residuals=path.residuals,
+        metadata=path.metadata,
+    )
+    assert rebuilt.samples == path.samples
+    assert rebuilt.residuals == path.residuals
+    assert rebuilt.metadata == path.metadata
+    assert integrate_volume_form(rebuilt) == integrate_volume_form(path)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_fiber_roots_refuses_an_overflowing_fiber():
+    with pytest.raises(TrackingError, match="overflows"):
+        fiber_roots(_fig8(), 1e80)
+
+
+def test_track_refuses_a_start_whose_residual_overflows():
+    with pytest.raises(TrackingError, match="start point residual nan"):
+        track_curve(_fig8(), (1.2, 1e160), [1.2, 1.3])
 
 
 def test_integrate_requires_fine_sampling():
@@ -265,3 +329,74 @@ def test_fiber_roots_degree_22_match_mpmath():
     assert len(roots) == 22
     assert max(min(abs(r - x) for x in roots) for r in reference) < 1e-6
     assert max(min(abs(r - x) for x in reference) for r in roots) < 1e-6
+
+
+def _mp_residual(poly, m, b):
+    """|A(m, b)| over the sum of |term| at (m, b), at 30 digits."""
+    with mpmath.workdps(30):
+        m, b = mpmath.mpc(m), mpmath.mpc(b)
+        terms = [mpmath.mpf(c.numerator) / c.denominator * m**i * b**j
+                 for (i, j), c in poly.terms.items()]
+        return float(abs(mpmath.fsum(terms)) / mpmath.fsum(abs(t) for t in terms))
+
+
+# Fiber degree 2 and 4 (the corpus curves), then 2q for the prescribed-slope
+# curves (p, q, 1) with q = 1, 2, 3, 5, 8, 11.
+_RESIDUAL_CURVES = ["fig8-knot", "fig8-sister", (1, 1), (1, 2), (2, 3), (2, 5), (3, 8), (5, 11)]
+
+
+@pytest.mark.parametrize("curve", _RESIDUAL_CURVES, ids=str)
+def test_sample_residuals_match_an_independent_evaluation(curve):
+    if isinstance(curve, str):
+        poly = load_corpus_entry(curve).poly
+    else:
+        poly = prescribed_slope_curve(*curve, 1)
+    m0, m1 = 1.3 + 0.05j, 1.4 - 0.05j
+    path = track_curve(poly, (m0, fiber_roots(poly, m0)[0]), [m0, 1.35 + 0.1j, m1], step=0.01)
+    assert len(path.samples) > 10
+    for (m, b), res in zip(path.samples, path.residuals):
+        exact = _mp_residual(poly, m, b)
+        assert exact <= path.residual_tol * (1 + 1e-6)
+        if exact > 1e-14:
+            assert 0.1 < res / exact < 10
+
+
+def test_tracking_steps_do_no_exact_arithmetic(monkeypatch):
+    poly = prescribed_slope_curve(5, 11, 1)
+
+    def refuse(*args):
+        raise AssertionError("exact evaluation reached from tracking")
+
+    monkeypatch.setattr(UniPoly, "evaluate", refuse)
+    monkeypatch.setattr(LaurentPoly2, "evaluate", refuse)
+    conversions = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda c: conversions.append(c) or to_float(c))
+    b0 = fiber_roots(poly, 1.5)[0]
+    path = track_curve(poly, (1.5, b0), [1.5, 1.7], step=0.005)
+    assert len(path.samples) == 41
+    # One conversion per term and call, none per step.
+    assert len(conversions) <= 2 * len(poly.terms)
+
+
+def test_bloch_wigner_at_the_regular_shape():
+    assert abs(2 * bloch_wigner(cmath.exp(1j * math.pi / 3)) - 2 * REGULAR_IDEAL_VOLUME) < 1e-12
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+@pytest.mark.parametrize("waypoints", [[1.2, 1.3], [1.2, 1.25 + 0.1j, 1.4 - 0.05j]])
+def test_volume_change_is_a_quarter_of_the_shape_volume_change(waypoints, branch):
+    # volume_change's -1/2 normalization reports one quarter of the change of
+    # D(z) + D(w) along the fig8 branch; see ROADMAP item 3.
+    poly = _fig8()
+    b0 = fiber_roots(poly, 1.2)[branch]
+    errors = []
+    for step in (0.01, 0.001):
+        path = track_curve(poly, (1.2, b0), waypoints, step=step)
+        (m0, l0), (m1, l1) = path.samples[0], path.samples[-1]
+        delta = fig8_shape_volume(m1, l1) - fig8_shape_volume(m0, l0)
+        assert abs(delta) > 0.1
+        errors.append(abs(4 * volume_change(path) - delta))
+    assert errors[1] < 1e-6
+    # the trapezoid rule is second order: a 10x finer step gains about 100x
+    assert errors[0] > 50 * errors[1]
